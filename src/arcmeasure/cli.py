@@ -40,6 +40,38 @@ class SchemaError(ValueError):
         self.path = path
 
 
+class LiteralLimit(PrecisionExhausted):
+    """Precision exhausted at the floor of an operand given as a literal.
+
+    Recomputing at a deeper ``--floor`` cannot help: the literal itself
+    is known only above ``floor``.
+    """
+
+    def __init__(self, exc, path, floor):
+        super().__init__(str(exc))
+        self.path = path
+        self.floor = floor
+
+
+def _literal_limit(exc, operands):
+    """Turn ``exc`` into a :class:`LiteralLimit` if a literal sets the floor.
+
+    ``operands`` lists ``(path, spec, value)`` for each measure operand.
+    The comparison is limited by the highest floor among them; when a
+    literal string operand has that floor, it is named.  Otherwise a
+    resolution-computed operand is the limit and ``exc`` is returned.
+    """
+    floors = [(value.floor, path, isinstance(spec, str))
+              for path, spec, value in operands
+              if isinstance(value, MotiveSeries) and not value.is_exact()]
+    if floors:
+        top = max(f for f, _, _ in floors)
+        for f, path, literal in floors:
+            if f == top and literal:
+                return LiteralLimit(exc, path, f)
+    return exc
+
+
 def _get(obj, path, key, typ, type_name):
     if key not in obj:
         raise SchemaError(f"{path}.{key}", "missing required field")
@@ -257,16 +289,19 @@ def _run_integrate(payload, options):
 
 
 def _run_compare(payload, options):
-    left = _measure_spec(_get(payload, "payload", "left", object, "a spec"),
-                         "payload.left", options["floor"])
-    right = _measure_spec(_get(payload, "payload", "right", object, "a spec"),
-                          "payload.right", options["floor"])
+    left_spec = _get(payload, "payload", "left", object, "a spec")
+    right_spec = _get(payload, "payload", "right", object, "a spec")
+    left = _measure_spec(left_spec, "payload.left", options["floor"])
+    right = _measure_spec(right_spec, "payload.right", options["floor"])
     try:
         order = compare_germ_measures(left, right)
     except ValueError as exc:
         # mismatched floors; PrecisionExhausted is not a ValueError and
         # propagates to the exit-code mapping instead
         raise SchemaError("payload", str(exc))
+    except PrecisionExhausted as exc:
+        raise _literal_limit(exc, [("payload.left", left_spec, left),
+                                   ("payload.right", right_spec, right)])
     return 0, order, {"order": order,
                       "left": render(left), "right": render(right)}
 
@@ -275,17 +310,21 @@ def _run_check_map(payload, options):
     diagram = _resolution_json(
         _get(payload, "payload", "diagram", dict, "an object"),
         "payload.diagram", want_q=True)
-    mu_x = _measure_spec(_get(payload, "payload", "mu_x", object, "a spec"),
-                         "payload.mu_x", options["floor"])
-    mu_y = _measure_spec(_get(payload, "payload", "mu_y", object, "a spec"),
-                         "payload.mu_y", options["floor"])
-    inverse = inverse_mapping_report(diagram, mu_x, mu_y)
-    reports = {"inverse_mapping": inverse.to_json()}
-    conclusion = inverse.conclusion
-    if conclusion != Conclusion.INVERSE_ARC_ANALYTIC:
-        comparison = measure_comparison_report(diagram, mu_x, mu_y)
-        reports["measure_comparison"] = comparison.to_json()
-        conclusion = comparison.conclusion
+    mu_x_spec = _get(payload, "payload", "mu_x", object, "a spec")
+    mu_y_spec = _get(payload, "payload", "mu_y", object, "a spec")
+    mu_x = _measure_spec(mu_x_spec, "payload.mu_x", options["floor"])
+    mu_y = _measure_spec(mu_y_spec, "payload.mu_y", options["floor"])
+    try:
+        inverse = inverse_mapping_report(diagram, mu_x, mu_y)
+        reports = {"inverse_mapping": inverse.to_json()}
+        conclusion = inverse.conclusion
+        if conclusion != Conclusion.INVERSE_ARC_ANALYTIC:
+            comparison = measure_comparison_report(diagram, mu_x, mu_y)
+            reports["measure_comparison"] = comparison.to_json()
+            conclusion = comparison.conclusion
+    except PrecisionExhausted as exc:
+        raise _literal_limit(exc, [("payload.mu_x", mu_x_spec, mu_x),
+                                   ("payload.mu_y", mu_y_spec, mu_y)])
     obj = {"conclusion": conclusion, "reports": reports}
     lines = [f"conclusion: {conclusion}"]
     for name, report in sorted(reports.items()):
@@ -411,8 +450,13 @@ def main(argv=None) -> int:
         return 2
     except PrecisionExhausted as exc:
         print(f"error: precision exhausted: {exc}", file=sys.stderr)
-        print(f"hint: retry with a deeper floor, e.g. "
-              f"--floor {2 * floor_hint}", file=sys.stderr)
+        if isinstance(exc, LiteralLimit):
+            print(f"hint: {exc.path} is a literal known only above "
+                  f"O(u^{exc.floor}); a deeper --floor cannot help, give "
+                  f"that operand more terms", file=sys.stderr)
+        else:
+            print(f"hint: retry with a deeper floor, e.g. "
+                  f"--floor {2 * floor_hint}", file=sys.stderr)
         return 5
 
     if args.format == "json":

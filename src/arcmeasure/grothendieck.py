@@ -470,7 +470,9 @@ def parse_motive(text: str):
     Returns a :class:`LaurentPoly` when no O term is present, otherwise
     a :class:`MotiveSeries` with the floor the O term states.  Accepts
     the exact grammar :func:`render` produces, plus fully explicit
-    variants like ``1*u^1``.
+    variants like ``1*u^1``.  A term at or below the stated floor and a
+    minus sign before the O term are rejected: neither has a meaning
+    the floor could keep.
     """
     s = text.strip()
     if s == "0":
@@ -495,15 +497,19 @@ def parse_motive(text: str):
         return int(s[i:k]), k
 
     terms = {}
+    starts = {}  # exponent -> offset of its first term
     floor = None
     sign = 1
     pos = skip_ws(pos)
+    sign_pos = pos
     if pos < n and s[pos] == "-":
         sign = -1
         pos += 1
         pos = skip_ws(pos)
     while True:
         if s.startswith("O(u^", pos):
+            if sign < 0:
+                raise RingParseError("'-' before the O term", sign_pos)
             val, j = parse_int(pos + 4, "floor exponent")
             if j >= n or s[j] != ")":
                 raise RingParseError("expected ')'", j)
@@ -511,6 +517,7 @@ def parse_motive(text: str):
             pos = skip_ws(j + 1)
             break
         # one term: coefficient and/or power of u
+        start = pos
         coeff = 1
         exponent = 0
         saw_u = False
@@ -534,6 +541,7 @@ def parse_motive(text: str):
                 exponent = 1
         c = sign * coeff
         terms[exponent] = terms.get(exponent, 0) + c
+        starts.setdefault(exponent, start)
         pos = skip_ws(pos)
         if pos >= n:
             break
@@ -543,6 +551,7 @@ def parse_motive(text: str):
             sign = -1
         else:
             raise RingParseError("expected '+', '-' or end", pos)
+        sign_pos = pos
         pos = skip_ws(pos + 1)
         if pos >= n:
             raise RingParseError("dangling operator", pos)
@@ -550,4 +559,8 @@ def parse_motive(text: str):
         raise RingParseError("trailing input", pos)
     if floor is None:
         return LaurentPoly(terms)
+    buried = [starts[e] for e in terms if e <= floor]
+    if buried:
+        raise RingParseError(
+            f"term at or below the floor {floor}", min(buried))
     return MotiveSeries(terms, floor)

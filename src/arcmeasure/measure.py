@@ -8,19 +8,24 @@ divisor components; a stratum with index set I contributes, for contact
 vector e, its class times ``(u-1)^|I| * u^(-sum(e)-d)``.
 
 Summing the contributions over all contact vectors stratum by stratum
-telescopes into a product of geometric series.  That closed form is
-what :func:`motivic_integral` evaluates; the direct enumeration over
-contact tuples is kept alongside as :func:`motivic_integral_by_enumeration`
-and the two are held equal in the test suite, so the algebraic shortcut
-never drifts from the definition.
+gives a rational function of ``u``: with ``k_i = 1 + a_i + alpha_i``,
+a stratum contributes ``[S] u^-d prod_i (u-1) u^-k_i / (1 - u^-k_i)``
+(the rationality of motivic measures, Denef-Loeser 1999).
+:func:`motivic_integral` expands that closed form down to the floor,
+one pass of the recurrence ``c[j] += c[j-k]`` per denominator factor.
+The direct enumeration over contact tuples is kept alongside as
+:func:`motivic_integral_by_enumeration` and the two are held equal in
+the test suite, so the algebraic shortcut never drifts from the
+definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .grothendieck import (NEG_INF, LaurentPoly, MotiveSeries, Order,
-                           geometric_sum, leq_order, parse_motive, render)
+                           leq_order, parse_motive, render)
 
 
 class BadContact(ValueError):
@@ -266,20 +271,29 @@ def _contact_exponents(stratum, mults, alpha):
 
 
 def _stratum_closed_form(stratum, ks, floor: int) -> MotiveSeries:
-    prefactor = stratum.stratum_class * LaurentPoly.monomial(
-        -stratum.ambient_dim)
-    u_minus_1 = LaurentPoly({1: 1, 0: -1})
-    for k in ks:
-        prefactor = prefactor * u_minus_1 * LaurentPoly.monomial(-k)
+    # The stratum contributes the rational function
+    #     [S] u^-d  prod_i (u-1) u^-k_i / (1 - u^-k_i).
+    # Expand the polynomial prefactor densely from its degree down to
+    # floor + 1, then divide by each 1 - u^-k: the quotient's
+    # coefficients satisfy c[j] += c[j-k] (index j counts down from the
+    # top), a running sum along every residue class mod k.  Division
+    # only carries coefficients downward, so those above the floor are
+    # exact as computed.
+    prefactor = stratum.stratum_class \
+        * LaurentPoly({1: 1, 0: -1}) ** len(ks) \
+        * LaurentPoly.monomial(-stratum.ambient_dim - sum(ks))
     if not ks:
         return MotiveSeries.from_poly(prefactor)
-    # Working floor low enough that the polynomial prefactor cannot
-    # push unknown territory above the requested floor.
-    working = min(floor - int(prefactor.degree), -1)
-    total = MotiveSeries.from_poly(prefactor)
+    top = int(prefactor.degree)
+    coeffs = [0] * max(top - floor, 0)
+    for e, c in prefactor.terms.items():
+        if e > floor:
+            coeffs[top - e] = c
     for k in ks:
-        total = total * geometric_sum(k, working)
-    return total.with_floor(floor)
+        for start in range(min(k, len(coeffs))):
+            coeffs[start::k] = accumulate(coeffs[start::k])
+    return MotiveSeries({top - j: c for j, c in enumerate(coeffs) if c},
+                        floor)
 
 
 def motivic_integral(data: ResolutionData, alpha_mults, floor: int
@@ -313,14 +327,17 @@ def motivic_integral_by_enumeration(data: ResolutionData, alpha_mults,
 
     The default cutoff is derived from the floor and provably discards
     only contributions below it.  ``max_total_contact`` instead bounds
-    ``sum(e_i)`` directly; a cutoff chosen too small silently loses
-    terms, so the override is for cross-checks, not production use.
+    ``sum(e_i)`` directly, for cross-checks; when that cutoff drops
+    tuples whose contributions reach above ``floor``, the result's floor
+    is raised to the highest exponent a dropped tuple can reach, so
+    every returned coefficient is still exact.
     """
     if alpha_mults is None:
         alpha_mults = [None] * len(data.strata)
     if len(alpha_mults) != len(data.strata):
         raise IndexMismatch("one alpha vector per stratum required")
     total = LaurentPoly.zero()
+    result_floor = floor
     for stratum, mults, alpha in zip(data.strata, data.jac_mults,
                                      alpha_mults):
         ks = _contact_exponents(stratum, mults, alpha)
@@ -330,9 +347,16 @@ def motivic_integral_by_enumeration(data: ResolutionData, alpha_mults,
             total = total + stratum.stratum_class * LaurentPoly.monomial(
                 -stratum.ambient_dim)
             continue
-        # contributions with sum(k_i e_i) >= budget sit at or below floor
-        budget = int(stratum.stratum_class.degree) + r \
-            - stratum.ambient_dim - floor
+        # a tuple contributes in degrees <= top - sum(k_i e_i), so those
+        # with sum(k_i e_i) >= budget sit at or below floor
+        top = int(stratum.stratum_class.degree) + r - stratum.ambient_dim
+        budget = top - floor
+        if max_total_contact is not None:
+            # the highest dropped tuple puts every contact beyond the
+            # cutoff on the component with the smallest k_i
+            extra = max(max_total_contact + 1 - r, 0)
+            result_floor = max(result_floor,
+                               top - sum(ks) - extra * min(ks))
 
         def tuples(prefix, remaining):
             i = len(prefix)
@@ -356,7 +380,7 @@ def motivic_integral_by_enumeration(data: ResolutionData, alpha_mults,
             twist = -ord_jac_on_stratum(weights, contacts)
             total = total + contact_stratum_measure(
                 stratum, contacts) * LaurentPoly.monomial(twist)
-    return MotiveSeries.from_poly(total, floor)
+    return MotiveSeries.from_poly(total, result_floor)
 
 
 def germ_measure(data: ResolutionData, floor: int) -> MotiveSeries:

@@ -194,6 +194,13 @@ def test_measure_enumeration_override_matches_closed_form(run):
     assert closed == brute == (0, CUSP_MEASURE_M10 + "\n", "")
 
 
+def test_measure_enumeration_cutoff_raises_floor(run):
+    code, out, _ = run(problem("measure", {"resolution": CUSP_RES},
+                               floor=-16, e_max_override=2))
+    assert code == 0
+    assert out == "u^-2 - u^-3 + u^-4 - u^-5 + O(u^-6)\n"
+
+
 def test_integrate_negative_twist_recovers_line(run):
     code, out, _ = run(problem("integrate",
                                {"resolution": CUSP_RES,
@@ -249,6 +256,37 @@ def test_compare_equal_floored_measures_exit_5_with_hint(run):
     assert out == ""
     assert "precision exhausted" in err
     assert "--floor -16" in err
+
+
+def test_compare_literal_floor_names_operand_in_hint(run):
+    code, out, err = run(problem("compare",
+                                 {"left": "u^-1 + O(u^-7)",
+                                  "right": "u^-1"}), "--floor", "-7")
+    assert code == 5
+    assert out == ""
+    assert "precision exhausted" in err
+    assert "payload.left" in err and "O(u^-7)" in err
+    assert "--floor -14" not in err
+
+
+def test_check_map_literal_floor_names_operand_in_hint(run):
+    code, out, err = run(problem("check-map",
+                                 {"diagram": IDENT_DIAG,
+                                  "mu_x": "u^-1",
+                                  "mu_y": "u^-1 + O(u^-5)"}))
+    assert code == 5
+    assert out == ""
+    assert "payload.mu_y" in err and "O(u^-5)" in err
+    assert "--floor -32" not in err
+
+
+def test_compare_rejects_term_below_literal_floor(run):
+    code, out, err = run(problem("compare",
+                                 {"left": "u^-20 + O(u^-10)",
+                                  "right": "-O(u^-3)"}))
+    assert code == 2
+    assert out == ""
+    assert "payload.left" in err and "offset 0" in err
 
 
 # ---------------------------------------------------------------------------

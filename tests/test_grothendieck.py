@@ -292,6 +292,24 @@ def test_parse_error_carries_offset():
         pytest.fail("expected RingParseError")
 
 
+def test_parse_rejects_term_at_or_below_floor():
+    for text, offset in (("u^-20 + O(u^-10)", 0),
+                         ("u^-2 - 3*u^-10 + O(u^-10)", 7),
+                         ("u^-10 - u^-10 + O(u^-10)", 0)):
+        with pytest.raises(RingParseError) as info:
+            parse_motive(text)
+        assert info.value.offset == offset, text
+        assert "floor" in str(info.value)
+
+
+def test_parse_rejects_minus_before_o_term():
+    for text, offset in (("-O(u^-3)", 0), ("- O(u^-3)", 0),
+                         ("u^-1 - O(u^-3)", 5)):
+        with pytest.raises(RingParseError) as info:
+            parse_motive(text)
+        assert info.value.offset == offset, text
+
+
 @given(laurents)
 @settings(max_examples=300)
 def test_poly_render_round_trip(p):

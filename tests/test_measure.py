@@ -3,14 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcmeasure import (BadContact, DivergentExponent, IndexMismatch,
                         LaurentPoly, MotiveSeries, MultiplicityVector, Order,
                         ResolutionData, ResolutionDiagram, SNCStratum,
                         compare_germ_measures, contact_stratum_measure,
-                        germ_measure, image_measure, motivic_integral,
-                        motivic_integral_by_enumeration, ord_jac_on_stratum,
-                        parse_motive, virtual_dim)
+                        geometric_sum, germ_measure, image_measure,
+                        motivic_integral, motivic_integral_by_enumeration,
+                        ord_jac_on_stratum, parse_motive, render, virtual_dim)
 from arcmeasure import catalog
 
 
@@ -231,6 +233,24 @@ def test_enumeration_with_explicit_cutoff():
     assert closed == brute
 
 
+def test_enumeration_cutoff_raises_floor():
+    # e = 3 is the first dropped contact; it reaches u^-6
+    floor = -16
+    brute = motivic_integral_by_enumeration(
+        catalog.cusp_data(), None, floor, max_total_contact=2)
+    assert render(brute) == "u^-2 - u^-3 + u^-4 - u^-5 + O(u^-6)"
+    assert brute == germ_measure(catalog.cusp_data(), floor).with_floor(-6)
+
+
+def test_enumeration_cutoff_below_index_set_size():
+    # no tuple fits: the floor sits at the top of the smallest tuple
+    data = catalog.double_blowup_data()
+    brute = motivic_integral_by_enumeration(data, None, -30,
+                                            max_total_contact=0)
+    closed = germ_measure(data, -30)
+    assert brute == closed.with_floor(brute.floor)
+
+
 def test_enumeration_matches_closed_form_randomized():
     rng = random.Random(7341)
     floor = -20
@@ -296,3 +316,92 @@ def test_compare_requires_common_floor():
     b = germ_measure(catalog.cusp_data(), -12)
     with pytest.raises(ValueError):
         compare_germ_measures(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the closed form against the product of truncated geometric sums
+
+def product_closed_form(data, alpha_mults, floor):
+    """Each stratum's prefactor times one truncated geometric sum per k."""
+    if alpha_mults is None:
+        alpha_mults = [None] * len(data.strata)
+    total = None
+    for stratum, mults, alpha in zip(data.strata, data.jac_mults,
+                                     alpha_mults):
+        alpha = alpha or (0,) * len(mults)
+        ks = [1 + a + x for a, x in zip(mults, alpha)]
+        prefactor = stratum.stratum_class * mono(-stratum.ambient_dim)
+        for k in ks:
+            prefactor = prefactor * (mono(1) - 1) * mono(-k)
+        part = MotiveSeries.from_poly(prefactor)
+        if ks:
+            # deep enough that the prefactor keeps the tail below floor
+            working = min(floor - int(prefactor.degree), -1)
+            for k in ks:
+                part = part * geometric_sum(k, working)
+            part = part.with_floor(floor)
+        total = part if total is None else total + part
+    return total
+
+
+@st.composite
+def resolutions(draw):
+    """Resolution data and an alpha with every 1 + a_i + alpha_i >= 1."""
+    d = draw(st.integers(1, 3))
+    strata, mults, alpha = [], [], []
+    for i in range(draw(st.integers(1, 4))):
+        r = draw(st.integers(0, min(3, d)))
+        # class degrees reach past d
+        cls = LaurentPoly(draw(st.dictionaries(
+            st.integers(-2, d + 3), st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)),
+            min_size=1, max_size=3)))
+        a = [draw(st.integers(0, 3)) for _ in range(r)]
+        strata.append(SNCStratum(f"s{i}", tuple(range(r)), cls, d))
+        mults.append(MultiplicityVector(a))
+        alpha.append(tuple(draw(st.integers(-x, 2)) for x in a))
+    return ResolutionData(tuple(strata), tuple(mults)), alpha
+
+
+@settings(max_examples=60, deadline=None)
+@given(resolutions(), st.integers(-60, -1))
+def test_closed_form_matches_product_and_enumeration(res, floor):
+    data, alpha = res
+    closed = motivic_integral(data, alpha, floor)
+    assert closed == product_closed_form(data, alpha, floor)
+    brute = motivic_integral_by_enumeration(data, alpha, floor)
+    assert closed.with_floor(floor) == brute
+
+
+@settings(max_examples=60, deadline=None)
+@given(resolutions(), st.integers(-60, -1), st.integers(0, 6))
+def test_enumeration_cutoff_keeps_printed_terms(res, floor, e_max):
+    data, alpha = res
+    brute = motivic_integral_by_enumeration(data, alpha, floor,
+                                            max_total_contact=e_max)
+    assert brute.floor >= floor
+    assert motivic_integral(data, alpha, floor).with_floor(
+        brute.floor) == brute
+
+
+def test_closed_form_prefactor_at_or_below_floor():
+    # [S] u^-d (u-1) u^-k has degree -5 here, below the floor -4
+    s = SNCStratum("p", (0,), LaurentPoly.one(), 2)
+    data = ResolutionData((s,), (MultiplicityVector((3,)),))
+    for floor in (-4, -5):
+        closed = germ_measure(data, floor)
+        assert closed == MotiveSeries({}, floor)
+        assert closed == product_closed_form(data, None, floor)
+        assert closed == motivic_integral_by_enumeration(data, None, floor)
+
+
+def test_closed_form_deep_floor_matches_product():
+    triple = ResolutionData(
+        (SNCStratum("o", (0, 1, 2), LaurentPoly.one(), 3),
+         SNCStratum("c", (0, 1), mono(1) - 1, 3),
+         SNCStratum("e", (0,), mono(2) - 2 * mono(1) + 1, 3)),
+        ((1, 2, 3), (1, 2), (1,)))
+    floor = -1600
+    for data in (catalog.double_blowup_data(), triple):
+        closed = germ_measure(data, floor)
+        assert closed == product_closed_form(data, None, floor)
+        assert closed.floor == floor
