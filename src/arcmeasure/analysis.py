@@ -16,17 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .grothendieck import (NEG_INF, MotiveSeries, Order, PrecisionExhausted,
-                           leq_order, render)
-from .measure import IndexMismatch, ResolutionDiagram, image_measure
+from .grothendieck import NEG_INF, Order, _floor_of, leq_order, render
+from .measure import ResolutionDiagram, image_measure, ord_jac_on_stratum
 from .series import matrix_entry_orders
 
-# precision used for internal certificates when both inputs are exact
+# default precision of internal certificates when both inputs are exact
 DEFAULT_REPORT_FLOOR = -16
-
-
-def _floor_of(m):
-    return m.floor if isinstance(m, MotiveSeries) else NEG_INF
 
 
 class Conclusion:
@@ -42,14 +37,9 @@ def ord_jac_f(diagram: ResolutionDiagram, stratum_name: str,
     The chain rule splits the order into target minus source leg, and on
     monomial data both legs are dot products with the contact vector.
     """
-    stratum, p, q = diagram.stratum_named(stratum_name)
-    contacts = tuple(int(e) for e in contacts)
-    if len(contacts) != len(stratum.index_set):
-        raise IndexMismatch(
-            f"{len(contacts)} contacts for {len(stratum.index_set)} "
-            "components")
-    return (sum(m * e for m, e in zip(q, contacts))
-            - sum(m * e for m, e in zip(p, contacts)))
+    _, p, q = diagram.stratum_named(stratum_name)
+    contacts = list(contacts)
+    return ord_jac_on_stratum(q, contacts) - ord_jac_on_stratum(p, contacts)
 
 
 @dataclass(frozen=True)
@@ -137,8 +127,8 @@ def _witness_json(witness):
     return {"stratum": name, "contacts": list(contacts)}
 
 
-def inverse_mapping_report(diagram: ResolutionDiagram, mu_x, mu_y
-                           ) -> TheoremReport:
+def inverse_mapping_report(diagram: ResolutionDiagram, mu_x, mu_y,
+                           floor=DEFAULT_REPORT_FLOOR) -> TheoremReport:
     """Certify that the inverse of a measure-preserving map behaves.
 
     Requires equality of the two germ measures and a Jacobian bounded
@@ -148,6 +138,8 @@ def inverse_mapping_report(diagram: ResolutionDiagram, mu_x, mu_y
     bounded above.  Any failure yields Inconclusive and names the
     failing item; comparisons that cannot be settled at the available
     precision raise :class:`PrecisionExhausted` instead of concluding.
+    The image measure is computed at the higher floor of the two
+    measures, or at ``floor`` when both are exact.
     """
     hypotheses = []
     certificates = {"mu_x": render(mu_x), "mu_y": render(mu_y)}
@@ -172,10 +164,8 @@ def inverse_mapping_report(diagram: ResolutionDiagram, mu_x, mu_y
         return TheoremReport(Conclusion.INCONCLUSIVE, tuple(hypotheses),
                              certificates)
 
-    floor = max(_floor_of(mu_x), _floor_of(mu_y))
-    if floor == NEG_INF:
-        floor = DEFAULT_REPORT_FLOOR
-    image = image_measure(diagram, int(floor))
+    given = max(_floor_of(mu_x), _floor_of(mu_y))
+    image = image_measure(diagram, floor if given == NEG_INF else int(given))
     certificates["image_measure"] = render(image)
     image_order = leq_order(image, mu_y)
     ok = image_order == Order.EQUAL

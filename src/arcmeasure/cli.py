@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
 from .analysis import (Conclusion, inverse_mapping_report,
                        measure_comparison_report)
-from .grothendieck import (LaurentPoly, MotiveSeries, PrecisionExhausted,
-                           RingParseError, leq_order, parse_motive, render,
-                           virtual_dim)
-from .measure import (DivergentExponent, IndexMismatch, ResolutionData,
-                      ResolutionDiagram, compare_germ_measures, germ_measure,
-                      motivic_integral, motivic_integral_by_enumeration)
+from .grothendieck import MotiveSeries, PrecisionExhausted, render, virtual_dim
+from .measure import (DivergentExponent, ResolutionData, ResolutionDiagram,
+                      SchemaError, _get, _int_list, _parse_motive_field,
+                      compare_germ_measures, germ_measure, motivic_integral)
 from .polynomials import (ConstantInput, ParseError, PolySystem,
                           hypersurface_singular_ideal, parse_poly, render_poly)
 from .series import ArcJet, compose, jet_equations, render_trunc
@@ -32,12 +29,6 @@ DEFAULT_FLOOR = -16
 DEFAULT_CAP = 12
 KINDS = ("jets", "compose", "hx", "measure", "integrate", "compare",
          "check-map")
-
-
-class SchemaError(ValueError):
-    def __init__(self, path, message):
-        super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 class LiteralLimit(PrecisionExhausted):
@@ -72,17 +63,6 @@ def _literal_limit(exc, operands):
     return exc
 
 
-def _get(obj, path, key, typ, type_name):
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}", "missing required field")
-    value = obj[key]
-    if typ is int and isinstance(value, bool):
-        raise SchemaError(f"{path}.{key}", "expected an integer")
-    if not isinstance(value, typ):
-        raise SchemaError(f"{path}.{key}", f"expected {type_name}")
-    return value
-
-
 def _fraction(value, path) -> Fraction:
     if isinstance(value, bool):
         raise SchemaError(path, "expected an integer or 'p/q' string")
@@ -96,30 +76,10 @@ def _fraction(value, path) -> Fraction:
     raise SchemaError(path, "expected an integer or 'p/q' string")
 
 
-def _int_list(value, path, allow_negative=True):
-    if not isinstance(value, list):
-        raise SchemaError(path, "expected a list of integers")
-    out = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise SchemaError(f"{path}[{i}]", "expected an integer")
-        if not allow_negative and v < 0:
-            raise SchemaError(f"{path}[{i}]", "must be nonnegative")
-        out.append(v)
-    return out
-
-
 def _parse_poly_field(text, variables, path):
     try:
         return parse_poly(text, variables)
     except ParseError as exc:
-        raise SchemaError(path, str(exc))
-
-
-def _parse_motive_field(text, path):
-    try:
-        return parse_motive(text)
-    except RingParseError as exc:
         raise SchemaError(path, str(exc))
 
 
@@ -135,33 +95,9 @@ def _variables(payload, path):
     return tuple(names)
 
 
-def _resolution_json(obj, path, want_q):
-    d = _get(obj, path, "ambient_dim", int, "an integer")
-    if d < 1:
-        raise SchemaError(f"{path}.ambient_dim", "must be positive")
-    strata = _get(obj, path, "strata", list, "a list")
-    if not strata:
-        raise SchemaError(f"{path}.strata", "must be nonempty")
-    for i, entry in enumerate(strata):
-        p = f"{path}.strata[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(p, "expected an object")
-        _get(entry, p, "name", str, "a string")
-        _int_list(_get(entry, p, "index_set", list, "a list"),
-                  f"{p}.index_set")
-        _get(entry, p, "class", str, "a class string")
-        _parse_motive_field(entry["class"], f"{p}.class")
-        _int_list(_get(entry, p, "p_mults", list, "a list"),
-                  f"{p}.p_mults", allow_negative=False)
-        if want_q:
-            _int_list(_get(entry, p, "q_mults", list, "a list"),
-                      f"{p}.q_mults", allow_negative=False)
-    try:
-        if want_q:
-            return ResolutionDiagram.from_json(obj)
-        return ResolutionData.from_json(obj)
-    except (ValueError, IndexMismatch) as exc:
-        raise SchemaError(path, str(exc))
+def _resolution(obj, path, key="resolution", cls=ResolutionData):
+    return cls.from_json(_get(obj, path, key, dict, "an object"),
+                         f"{path}.{key}")
 
 
 def _measure_spec(spec, path, floor):
@@ -169,10 +105,7 @@ def _measure_spec(spec, path, floor):
     if isinstance(spec, str):
         return _parse_motive_field(spec, path)
     if isinstance(spec, dict) and "resolution" in spec:
-        data = _resolution_json(
-            _get(spec, path, "resolution", dict, "an object"),
-            f"{path}.resolution", want_q=False)
-        return germ_measure(data, floor)
+        return germ_measure(_resolution(spec, path), floor)
     raise SchemaError(path, "expected a measure string or a resolution")
 
 
@@ -252,22 +185,12 @@ def _series_result(series):
 
 
 def _run_measure(payload, options):
-    data = _resolution_json(
-        _get(payload, "payload", "resolution", dict, "an object"),
-        "payload.resolution", want_q=False)
-    e_max = options.get("e_max_override")
-    if e_max is not None:
-        series = motivic_integral_by_enumeration(
-            data, None, options["floor"], max_total_contact=e_max)
-    else:
-        series = germ_measure(data, options["floor"])
-    return _series_result(series)
+    data = _resolution(payload, "payload")
+    return _series_result(germ_measure(data, options["floor"]))
 
 
 def _run_integrate(payload, options):
-    data = _resolution_json(
-        _get(payload, "payload", "resolution", dict, "an object"),
-        "payload.resolution", want_q=False)
+    data = _resolution(payload, "payload")
     alpha_field = _get(payload, "payload", "alpha", list, "a list")
     if len(alpha_field) != len(data.strata):
         raise SchemaError("payload.alpha",
@@ -279,13 +202,7 @@ def _run_integrate(payload, options):
             raise SchemaError(f"payload.alpha[{i}]",
                               "length does not match the index set")
         alpha.append(vec)
-    e_max = options.get("e_max_override")
-    if e_max is not None:
-        series = motivic_integral_by_enumeration(
-            data, alpha, options["floor"], max_total_contact=e_max)
-    else:
-        series = motivic_integral(data, alpha, options["floor"])
-    return _series_result(series)
+    return _series_result(motivic_integral(data, alpha, options["floor"]))
 
 
 def _run_compare(payload, options):
@@ -307,15 +224,14 @@ def _run_compare(payload, options):
 
 
 def _run_check_map(payload, options):
-    diagram = _resolution_json(
-        _get(payload, "payload", "diagram", dict, "an object"),
-        "payload.diagram", want_q=True)
+    diagram = _resolution(payload, "payload", "diagram", ResolutionDiagram)
     mu_x_spec = _get(payload, "payload", "mu_x", object, "a spec")
     mu_y_spec = _get(payload, "payload", "mu_y", object, "a spec")
     mu_x = _measure_spec(mu_x_spec, "payload.mu_x", options["floor"])
     mu_y = _measure_spec(mu_y_spec, "payload.mu_y", options["floor"])
     try:
-        inverse = inverse_mapping_report(diagram, mu_x, mu_y)
+        inverse = inverse_mapping_report(diagram, mu_x, mu_y,
+                                         floor=options["floor"])
         reports = {"inverse_mapping": inverse.to_json()}
         conclusion = inverse.conclusion
         if conclusion != Conclusion.INVERSE_ARC_ANALYTIC:
@@ -372,34 +288,12 @@ def _load_problem(path):
     if not isinstance(options, dict):
         raise SchemaError("problem.options", "expected an object")
     for key in options:
-        if key not in ("floor", "cap", "e_max_override"):
+        if key not in ("floor", "cap"):
             raise SchemaError(f"problem.options.{key}", "unknown option")
         value = options[key]
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(f"problem.options.{key}", "expected an integer")
     return kind, payload, options
-
-
-def _selftest(seed: int) -> int:
-    rng = random.Random(seed)
-
-    def rand_poly():
-        return LaurentPoly({rng.randint(-6, 6): rng.randint(-9, 9)
-                            for _ in range(rng.randint(0, 4))})
-
-    checks = 0
-    for _ in range(300):
-        a, b, c = rand_poly(), rand_poly(), rand_poly()
-        assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
-        if a and b:
-            assert virtual_dim(a * b) == virtual_dim(a) + virtual_dim(b)
-        text = render(a)
-        assert parse_motive(text) == a, text
-        checks += 5
-    print(f"selftest passed: {checks} checks (seed {seed})")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -412,14 +306,8 @@ def main(argv=None) -> int:
     parser.add_argument("--cap", type=int, default=None,
                         help=f"series truncation cap (default {DEFAULT_CAP})")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized commands")
-    parser.add_argument("--selftest", action="store_true",
-                        help="run randomized internal checks and exit")
     args = parser.parse_args(argv)
 
-    if args.selftest:
-        return _selftest(args.seed)
     if args.problem is None:
         parser.print_usage(sys.stderr)
         print("error: a problem file is required", file=sys.stderr)
@@ -433,7 +321,6 @@ def main(argv=None) -> int:
             else options.get("floor", DEFAULT_FLOOR),
             "cap": args.cap if args.cap is not None
             else options.get("cap", DEFAULT_CAP),
-            "e_max_override": options.get("e_max_override"),
         }
         floor_hint = effective["floor"]
         if effective["cap"] < 0:

@@ -19,6 +19,8 @@ zero and as the floor of exact series.
 
 from __future__ import annotations
 
+from operator import add
+
 NEG_INF = float("-inf")
 
 
@@ -41,6 +43,57 @@ def _as_terms(exponent_map):
         if c:
             out[e] = c
     return out
+
+
+# ---------------------------------------------------------------------------
+# sparse-term kernel
+#
+# LaurentPoly, MotiveSeries and polynomials.MultiPoly all store a map
+# {key: nonzero coefficient}; keys are int exponents or exponent tuples.
+# These functions take maps their constructors already validated and
+# return new maps without zero coefficients.
+
+def _add_terms(a, b, sign=1):
+    """``a + sign * b`` termwise, ``sign`` being 1 or -1."""
+    out = dict(a)
+    get = out.get
+    for k, c in b.items():
+        s = get(k, 0) + c if sign > 0 else get(k, 0) - c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def _mul_terms(a, b, combine, above=None):
+    """Product of two term maps; ``combine`` adds two keys.
+
+    Products landing at a key ``<= above`` are dropped, unless ``above``
+    is None.
+    """
+    out = {}
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = combine(k1, k2)
+            if above is None or k > above:
+                out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _pow_terms(a, n, one, combine):
+    """``a ** n`` by square-and-multiply; ``one`` is the unit's map."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative int")
+    result = one
+    while n:
+        if n & 1:
+            result = _mul_terms(result, a, combine)
+        n >>= 1
+        if n:
+            a = _mul_terms(a, a, combine)
+    return result
 
 
 class LaurentPoly:
@@ -93,7 +146,7 @@ class LaurentPoly:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return _laurent({e: -c for e, c in self.terms.items()})
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -106,14 +159,7 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly(out)
+        return _laurent(_add_terms(self.terms, o.terms))
 
     __radd__ = __add__
 
@@ -121,42 +167,24 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _laurent(_add_terms(self.terms, o.terms, -1))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _laurent(_add_terms(o.terms, self.terms, -1))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(out)
+        return _laurent(_mul_terms(self.terms, o.terms, add))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _laurent(_pow_terms(self.terms, n, {0: 1}, add))
 
     @property
     def degree(self):
@@ -170,6 +198,13 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({render(self)!r})"
+
+
+def _laurent(terms):
+    # a LaurentPoly over trusted terms: int keys, nonzero int values
+    p = object.__new__(LaurentPoly)
+    object.__setattr__(p, "terms", terms)
+    return p
 
 
 U = LaurentPoly.monomial(1)
@@ -190,11 +225,9 @@ class MotiveSeries:
     __slots__ = ("terms", "floor")
 
     def __init__(self, exponent_map=None, floor=NEG_INF):
-        if floor != NEG_INF and not isinstance(floor, int):
-            raise TypeError("floor must be an int or NEG_INF")
+        _check_floor(floor)
         terms = _as_terms(exponent_map or {})
-        terms = {e: c for e, c in terms.items() if e > floor}
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", _above(terms, floor))
         object.__setattr__(self, "floor", floor)
 
     def __setattr__(self, name, value):
@@ -207,7 +240,8 @@ class MotiveSeries:
         Passing a finite ``floor`` forgets all coefficients at or below
         it, which models the polynomial viewed at that precision.
         """
-        return cls(dict(p.terms), floor)
+        _check_floor(floor)
+        return _series(_above(p.terms, floor), floor)
 
     @property
     def top(self):
@@ -229,21 +263,13 @@ class MotiveSeries:
         return hash((frozenset(self.terms.items()), self.floor))
 
     def __neg__(self):
-        return MotiveSeries({e: -c for e, c in self.terms.items()}, self.floor)
+        return _series({e: -c for e, c in self.terms.items()}, self.floor)
 
     def __add__(self, other):
         o = _coerce_series(other)
         if o is None:
             return NotImplemented
-        floor = max(self.floor, o.floor)
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MotiveSeries(out, floor)
+        return _series_sum(self, o, 1)
 
     __radd__ = __add__
 
@@ -251,13 +277,13 @@ class MotiveSeries:
         o = _coerce_series(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _series_sum(self, o, -1)
 
     def __rsub__(self, other):
         o = _coerce_series(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _series_sum(o, self, -1)
 
     def __mul__(self, other):
         o = _coerce_series(other)
@@ -269,40 +295,64 @@ class MotiveSeries:
                     self.floor + o.floor)
         if floor != NEG_INF:
             floor = int(floor)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = e1 + e2
-                if e <= floor:
-                    continue
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MotiveSeries(out, floor)
+        return _series(_mul_terms(self.terms, o.terms, add, floor), floor)
 
     __rmul__ = __mul__
 
     def with_floor(self, new_floor) -> "MotiveSeries":
         """Forget information: raise the floor to ``new_floor``."""
+        _check_floor(new_floor)
         if new_floor < self.floor:
             raise ValueError(
                 f"cannot lower floor from {self.floor} to {new_floor}")
-        return MotiveSeries(self.terms, new_floor)
+        return _series(_above(self.terms, new_floor), new_floor)
 
     def __repr__(self):
         return f"MotiveSeries({render(self)!r})"
+
+
+def _check_floor(floor):
+    if floor != NEG_INF and not isinstance(floor, int):
+        raise TypeError("floor must be an int or NEG_INF")
+
+
+def _above(terms, floor):
+    # the terms a series with this floor keeps
+    if floor == NEG_INF:
+        return terms
+    return {e: c for e, c in terms.items() if e > floor}
+
+
+def _series(terms, floor):
+    # a MotiveSeries over trusted terms: int keys above the floor (an int
+    # or NEG_INF), nonzero int values
+    s = object.__new__(MotiveSeries)
+    object.__setattr__(s, "terms", terms)
+    object.__setattr__(s, "floor", floor)
+    return s
+
+
+def _series_sum(a, b, sign):
+    floor = max(a.floor, b.floor)
+    terms = _add_terms(a.terms, b.terms, sign)
+    if a.floor != b.floor:
+        terms = _above(terms, floor)
+    return _series(terms, floor)
 
 
 def _coerce_series(x):
     if isinstance(x, MotiveSeries):
         return x
     if isinstance(x, LaurentPoly):
-        return MotiveSeries.from_poly(x)
+        return _series(x.terms, NEG_INF)
     if isinstance(x, int):
         return MotiveSeries({0: x})
     return None
+
+
+def _floor_of(a):
+    """Precision floor of a ring value; NEG_INF for an exact one."""
+    return a.floor if isinstance(a, MotiveSeries) else NEG_INF
 
 
 def virtual_dim(a):
@@ -420,18 +470,35 @@ def limit_of_sequence(seq, bounds) -> MotiveSeries:
 # ---------------------------------------------------------------------------
 # canonical text form
 
-def _render_term(e: int, c: int, lead: bool) -> str:
-    sign = "-" if c < 0 else "+"
-    mag = abs(c)
-    if e == 0:
-        body = str(mag)
-    elif e == 1:
-        body = "u" if mag == 1 else f"{mag}*u"
-    else:
-        body = f"u^{e}" if mag == 1 else f"{mag}*u^{e}"
-    if lead:
-        return body if c > 0 else f"-{body}"
-    return f" {sign} {body}"
+def _power_text(name: str, k: int) -> str:
+    # ``name`` to the power k as printed in a term; "" for k = 0
+    if k == 0:
+        return ""
+    return name if k == 1 else f"{name}^{k}"
+
+
+def _signed_sum(terms) -> str:
+    """``c1*m1 - c2*m2 + ...`` from ``(coefficient, monomial)`` pairs.
+
+    The coefficients are nonzero ints or Fractions in print order; an
+    empty monomial text stands for the constant term, and a coefficient
+    of magnitude 1 is left off a nonconstant monomial.  Shared by every
+    canonical text form of the package.
+    """
+    parts = []
+    for c, mono in terms:
+        mag = abs(c)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if parts:
+            parts.append(f" - {body}" if c < 0 else f" + {body}")
+        else:
+            parts.append(f"-{body}" if c < 0 else body)
+    return "".join(parts)
 
 
 def render(a) -> str:
@@ -440,16 +507,11 @@ def render(a) -> str:
     ``u^-2 - u^-3 + O(u^-10)`` is a series with floor -10; an exact
     element has no O term and zero renders as ``0``.
     """
-    if isinstance(a, LaurentPoly):
-        terms, floor = a.terms, NEG_INF
-    elif isinstance(a, MotiveSeries):
-        terms, floor = a.terms, a.floor
-    else:
+    if not isinstance(a, (LaurentPoly, MotiveSeries)):
         raise TypeError(f"cannot render {type(a)!r}")
-    parts = []
-    for i, e in enumerate(sorted(terms, reverse=True)):
-        parts.append(_render_term(e, terms[e], lead=(i == 0)))
-    body = "".join(parts)
+    terms, floor = a.terms, _floor_of(a)
+    body = _signed_sum([(terms[e], _power_text("u", e))
+                        for e in sorted(terms, reverse=True)])
     if floor == NEG_INF:
         return body or "0"
     o_term = f"O(u^{int(floor)})"

@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .grothendieck import (NEG_INF, LaurentPoly, MotiveSeries, Order,
-                           leq_order, parse_motive, render)
+from .grothendieck import (NEG_INF, LaurentPoly, MotiveSeries, RingParseError,
+                           _floor_of, _series, leq_order, parse_motive,
+                           render)
 
 
 class BadContact(ValueError):
@@ -38,6 +39,14 @@ class IndexMismatch(ValueError):
 
 class DivergentExponent(ArithmeticError):
     """A contact series fails to converge: some ``1 + a_i + alpha_i <= 0``."""
+
+
+class SchemaError(ValueError):
+    """Outside data rejected; the message starts with the field's path."""
+
+    def __init__(self, path, message):
+        super().__init__(f"{path}: {message}")
+        self.path = path
 
 
 @dataclass(frozen=True)
@@ -151,9 +160,10 @@ class ResolutionData:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "ResolutionData":
-        strata, p_mults, _ = _strata_from_json(data, want_q=False)
-        return cls(strata, p_mults)
+    def from_json(cls, data: dict, path="resolution") -> "ResolutionData":
+        """Inverse of :meth:`to_json`; bad data raises :class:`SchemaError`
+        with the offending field's path below ``path``."""
+        return _resolution_from_json(cls, data, path, ("p_mults",))
 
 
 @dataclass(frozen=True)
@@ -208,9 +218,10 @@ class ResolutionDiagram:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "ResolutionDiagram":
-        strata, p_mults, q_mults = _strata_from_json(data, want_q=True)
-        return cls(strata, p_mults, q_mults)
+    def from_json(cls, data: dict, path="diagram") -> "ResolutionDiagram":
+        """Inverse of :meth:`to_json`; bad data raises :class:`SchemaError`
+        with the offending field's path below ``path``."""
+        return _resolution_from_json(cls, data, path, ("p_mults", "q_mults"))
 
 
 def _validate_strata(strata, mults):
@@ -232,23 +243,73 @@ def _validate_strata(strata, mults):
                 f"{len(s.index_set)} components")
 
 
-def _strata_from_json(data, want_q):
-    d = int(data["ambient_dim"])
-    strata, p_mults, q_mults = [], [], []
-    for entry in data["strata"]:
-        cls_poly = parse_motive(entry["class"])
-        if not isinstance(cls_poly, LaurentPoly):
-            raise ValueError(
-                f"stratum {entry.get('name')!r}: class must be exact")
-        strata.append(SNCStratum(entry["name"], entry["index_set"],
-                                 cls_poly, d))
-        p_mults.append(MultiplicityVector(entry["p_mults"]))
-        if want_q:
-            if "q_mults" not in entry:
-                raise ValueError(
-                    f"stratum {entry.get('name')!r}: q_mults required")
-            q_mults.append(MultiplicityVector(entry["q_mults"]))
-    return tuple(strata), tuple(p_mults), tuple(q_mults)
+def _get(obj, path, key, typ, type_name):
+    if key not in obj:
+        raise SchemaError(f"{path}.{key}", "missing required field")
+    value = obj[key]
+    if typ is int and isinstance(value, bool):
+        raise SchemaError(f"{path}.{key}", "expected an integer")
+    if not isinstance(value, typ):
+        raise SchemaError(f"{path}.{key}", f"expected {type_name}")
+    return value
+
+
+def _int_list(value, path, allow_negative=True):
+    if not isinstance(value, list):
+        raise SchemaError(path, "expected a list of integers")
+    out = []
+    for i, v in enumerate(value):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise SchemaError(f"{path}[{i}]", "expected an integer")
+        if not allow_negative and v < 0:
+            raise SchemaError(f"{path}[{i}]", "must be nonnegative")
+        out.append(v)
+    return out
+
+
+def _parse_motive_field(text, path):
+    try:
+        return parse_motive(text)
+    except RingParseError as exc:
+        raise SchemaError(path, str(exc))
+
+
+def _resolution_from_json(cls, data, path, legs):
+    """``cls(strata, *multiplicity lists)`` from the JSON form.
+
+    Every field is checked, with its path, before any stratum is built;
+    a stratum that fails to build is reported against ``path`` itself.
+    ``legs`` names the multiplicity fields each stratum entry carries.
+    """
+    d = _get(data, path, "ambient_dim", int, "an integer")
+    if d < 1:
+        raise SchemaError(f"{path}.ambient_dim", "must be positive")
+    entries = _get(data, path, "strata", list, "a list")
+    if not entries:
+        raise SchemaError(f"{path}.strata", "must be nonempty")
+    fields, mults = [], []
+    for i, entry in enumerate(entries):
+        p = f"{path}.strata[{i}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(p, "expected an object")
+        name = _get(entry, p, "name", str, "a string")
+        index_set = _int_list(_get(entry, p, "index_set", list, "a list"),
+                              f"{p}.index_set")
+        cls_value = _parse_motive_field(
+            _get(entry, p, "class", str, "a class string"), f"{p}.class")
+        fields.append((name, index_set, cls_value))
+        mults.append([_int_list(_get(entry, p, leg, list, "a list"),
+                                f"{p}.{leg}", allow_negative=False)
+                      for leg in legs])
+    try:
+        strata = []
+        for name, index_set, cls_value in fields:
+            if not isinstance(cls_value, LaurentPoly):
+                raise ValueError(f"stratum {name!r}: class must be exact")
+            strata.append(SNCStratum(name, index_set, cls_value, d))
+        return cls(strata, *zip(*mults))  # one tuple per leg
+    except ValueError as exc:
+        raise SchemaError(path, str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +353,7 @@ def _stratum_closed_form(stratum, ks, floor: int) -> MotiveSeries:
     for k in ks:
         for start in range(min(k, len(coeffs))):
             coeffs[start::k] = accumulate(coeffs[start::k])
-    return MotiveSeries({top - j: c for j, c in enumerate(coeffs) if c},
-                        floor)
+    return _series({top - j: c for j, c in enumerate(coeffs) if c}, floor)
 
 
 def motivic_integral(data: ResolutionData, alpha_mults, floor: int
@@ -395,8 +455,7 @@ def image_measure(diagram: ResolutionDiagram, floor: int) -> MotiveSeries:
 
 def compare_germ_measures(a: MotiveSeries, b: MotiveSeries) -> str:
     """Order two germ measures computed at a common precision."""
-    fa = a.floor if isinstance(a, MotiveSeries) else NEG_INF
-    fb = b.floor if isinstance(b, MotiveSeries) else NEG_INF
+    fa, fb = _floor_of(a), _floor_of(b)
     if fa != NEG_INF and fb != NEG_INF and fa != fb:
         raise ValueError(
             f"floors {fa} and {fb} differ; recompute at a common floor")

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import add
+
+from .grothendieck import (_add_terms, _mul_terms, _pow_terms, _power_text,
+                           _signed_sum)
 
 
 class ParseError(ValueError):
@@ -26,10 +30,6 @@ class ArityMismatch(ValueError):
 
 class ConstantInput(ValueError):
     """A nonconstant polynomial was required."""
-
-
-def _normalize(terms):
-    return {e: c for e, c in terms.items() if c != 0}
 
 
 class MultiPoly:
@@ -63,14 +63,16 @@ class MultiPoly:
     @classmethod
     def constant(cls, variables, value) -> "MultiPoly":
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
+        value = Fraction(value)
+        return _poly(variables, {(0,) * len(variables): value} if value
+                     else {})
 
     @classmethod
     def variable(cls, variables, index: int) -> "MultiPoly":
         variables = tuple(variables)
         exps = [0] * len(variables)
         exps[index] = 1
-        return cls(variables, {tuple(exps): Fraction(1)})
+        return _poly(variables, {tuple(exps): Fraction(1)})
 
     def __bool__(self):
         return bool(self.terms)
@@ -98,21 +100,13 @@ class MultiPoly:
         return None
 
     def __neg__(self):
-        return MultiPoly(self.variables,
-                         {e: -c for e, c in self.terms.items()})
+        return _poly(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPoly(self.variables, out)
+        return _poly(self.variables, _add_terms(self.terms, o.terms))
 
     __radd__ = __add__
 
@@ -120,59 +114,36 @@ class MultiPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _poly(self.variables, _add_terms(self.terms, o.terms, -1))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _poly(self.variables, _add_terms(o.terms, self.terms, -1))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly(self.variables, out)
+        return _poly(self.variables,
+                     _mul_terms(self.terms, o.terms, _add_exponents))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        result = MultiPoly.constant(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        one = {(0,) * len(self.variables): Fraction(1)}
+        return _poly(self.variables,
+                     _pow_terms(self.terms, n, one, _add_exponents))
 
     def diff(self, index: int) -> "MultiPoly":
         """Partial derivative with respect to ``variables[index]``."""
         out = {}
         for e, c in self.terms.items():
             k = e[index]
-            if k == 0:
-                continue
-            new = list(e)
-            new[index] = k - 1
-            new = tuple(new)
-            s = out.get(new, 0) + c * k
-            if s:
-                out[new] = s
-            else:
-                out.pop(new, None)
-        return MultiPoly(self.variables, out)
+            if k:  # distinct terms differentiate to distinct exponents
+                out[e[:index] + (k - 1,) + e[index + 1:]] = c * k
+        return _poly(self.variables, out)
 
     def evaluate(self, values) -> Fraction:
         """Value at a rational point, given per variable name or position."""
@@ -201,31 +172,25 @@ class MultiPoly:
         return f"MultiPoly({render_poly(self)!r}, vars={self.variables})"
 
 
+def _add_exponents(e1, e2):
+    return tuple(map(add, e1, e2))
+
+
+def _poly(variables, terms):
+    # a MultiPoly over trusted terms: nonnegative exponent tuples of the
+    # variables' length, nonzero Fraction values
+    p = object.__new__(MultiPoly)
+    object.__setattr__(p, "variables", variables)
+    object.__setattr__(p, "terms", terms)
+    return p
+
+
 def render_poly(p: MultiPoly) -> str:
     """Deterministic text form with explicit ``*`` between factors."""
-    if not p.terms:
-        return "0"
-    parts = []
-    for i, (exps, coeff) in enumerate(p.sorted_terms()):
-        factors = []
-        for name, k in zip(p.variables, exps):
-            if k == 1:
-                factors.append(name)
-            elif k > 1:
-                factors.append(f"{name}^{k}")
-        mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        if i == 0:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            sign = "+" if coeff > 0 else "-"
-            parts.append(f" {sign} {body}")
-    return "".join(parts)
+    return _signed_sum(
+        [(coeff, "*".join([_power_text(name, k)
+                           for name, k in zip(p.variables, exps) if k]))
+         for exps, coeff in p.sorted_terms()]) or "0"
 
 
 def parse_poly(text: str, variables) -> MultiPoly:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .grothendieck import _power_text, _signed_sum
 from .polynomials import ArityMismatch, MultiPoly, PolySystem, matrix_minors
 
 
@@ -93,23 +94,10 @@ class TruncSeries:
 
 def render_trunc(s: TruncSeries) -> str:
     """Ascending powers of t, explicit cap: ``t^2 - t^3 + O(t^4)``."""
-    parts = []
-    for e, c in enumerate(s.coeffs):
-        if not c:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        elif e == 1:
-            body = "t" if mag == 1 else f"{mag}*t"
-        else:
-            body = f"t^{e}" if mag == 1 else f"{mag}*t^{e}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" {'+' if c > 0 else '-'} {body}")
+    body = _signed_sum([(c, _power_text("t", e))
+                        for e, c in enumerate(s.coeffs) if c])
     tail = f"O(t^{s.cap + 1})"
-    return f"{''.join(parts)} + {tail}" if parts else tail
+    return f"{body} + {tail}" if body else tail
 
 
 class ArcJet:

@@ -187,18 +187,11 @@ def test_measure_blowup_plane(run):
     assert out == "u^-2 + O(u^-40)\n"
 
 
-def test_measure_enumeration_override_matches_closed_form(run):
-    closed = run(problem("measure", {"resolution": CUSP_RES}, floor=-10))
-    brute = run(problem("measure", {"resolution": CUSP_RES}, floor=-10,
-                        e_max_override=40))
-    assert closed == brute == (0, CUSP_MEASURE_M10 + "\n", "")
-
-
-def test_measure_enumeration_cutoff_raises_floor(run):
-    code, out, _ = run(problem("measure", {"resolution": CUSP_RES},
-                               floor=-16, e_max_override=2))
-    assert code == 0
-    assert out == "u^-2 - u^-3 + u^-4 - u^-5 + O(u^-6)\n"
+def test_measure_rejects_enumeration_override(run):
+    code, out, err = run(problem("measure", {"resolution": CUSP_RES},
+                                 floor=-16, e_max_override=2))
+    assert (code, out) == (2, "")
+    assert "problem.options.e_max_override: unknown option" in err
 
 
 def test_integrate_negative_twist_recovers_line(run):
@@ -291,6 +284,22 @@ def test_compare_rejects_term_below_literal_floor(run):
 
 # ---------------------------------------------------------------------------
 # check-map
+
+def test_check_map_exact_measures_use_the_floor_flag(run):
+    # the image measure starts at u^-20, so only a floor below -20 sees it
+    diag = {"ambient_dim": 1,
+            "strata": [{"name": "s", "index_set": [0], "class": "1",
+                        "p_mults": [19], "q_mults": [19]}]}
+    doc = problem("check-map", {"diagram": diag, "mu_x": "0", "mu_y": "0"})
+    code, out, _ = run(doc, "--floor", "-40")
+    assert code == 0
+    assert out.splitlines()[0] == "conclusion: MeasureInequality"
+    assert ("  image_measure_matches_target: fail "
+            "(leq_order returned Greater)") in out.splitlines()
+    code, out, err = run(doc)
+    assert (code, out) == (5, "")
+    assert "floor -16" in err
+
 
 def test_check_map_identity_is_inverse_arc_analytic(run):
     code, out, _ = run(problem("check-map",
@@ -395,7 +404,7 @@ def test_bad_class_string_reports_field_path(run):
 
 
 # ---------------------------------------------------------------------------
-# determinism and selftest
+# determinism
 
 def test_output_is_byte_identical_across_runs(run):
     doc = problem("check-map",
@@ -424,8 +433,3 @@ def test_console_entry_point_runs_in_subprocess(tmp_path):
         assert r.stdout == CUSP_MEASURE_M10 + "\n"
     assert results[0].stdout == results[1].stdout
 
-
-def test_selftest_consumes_seed(capsys):
-    code = main(["--selftest", "--seed", "7"])
-    assert code == 0
-    assert capsys.readouterr().out == "selftest passed: 1500 checks (seed 7)\n"

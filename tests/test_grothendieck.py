@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcmeasure import (NEG_INF, ONE, U, ZERO, BoundViolated, LaurentPoly,
-                        MotiveSeries, Order, PrecisionExhausted,
-                        RingParseError, geometric_sum, leq_order,
-                        limit_of_sequence, parse_motive, render, virtual_dim)
+from arcmeasure import (NEG_INF, ONE, U, ZERO, ArityMismatch, BoundViolated,
+                        LaurentPoly, MotiveSeries, MultiPoly, Order,
+                        PrecisionExhausted, RingParseError, geometric_sum,
+                        leq_order, limit_of_sequence, parse_motive,
+                        parse_poly, render, render_poly, virtual_dim)
 
 
 def mono(e, c=1):
@@ -344,6 +345,78 @@ def test_ring_axioms(a, b, c):
 def test_integral_domain(a, b):
     if a * b == ZERO:
         assert a == ZERO or b == ZERO
+
+
+floored_series = st.builds(
+    MotiveSeries,
+    st.dictionaries(st.integers(-8, 8), st.integers(-9, 9).filter(bool),
+                    max_size=5),
+    st.one_of(st.just(NEG_INF), st.integers(-12, 4)))
+multipolys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool),
+    max_size=4).map(lambda terms: MultiPoly(("x", "y"), terms))
+
+# ring type -> (values, degree, render then parse)
+RINGS = {
+    "LaurentPoly": (laurents, virtual_dim, lambda a: parse_motive(render(a))),
+    "MotiveSeries": (floored_series, virtual_dim,
+                     lambda a: parse_motive(render(a))),
+    "MultiPoly": (multipolys, lambda p: max(map(sum, p.terms)),
+                  lambda p: parse_poly(render_poly(p), p.variables)),
+}
+
+
+def agree(x, y):
+    """Equal wherever both are known: above the higher of two floors."""
+    if isinstance(x, MotiveSeries):
+        floor = max(x.floor, y.floor)
+        return x.with_floor(floor) == y.with_floor(floor)
+    return x == y
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@given(data=st.data())
+@settings(max_examples=150)
+def test_ring_laws(ring, data):
+    values, degree, reparse = RINGS[ring]
+    a, b, c = (data.draw(values) for _ in range(3))
+    assert agree((a + b) + c, a + (b + c))
+    assert agree((a * b) * c, a * (b * c))
+    assert a + b == b + a
+    assert a * b == b * a
+    assert agree(a * (b + c), a * b + a * c)
+    assert a - b == a + (-b) == -(b - a)
+    assert 1 - a == -(a - 1)
+    if a and b:
+        assert degree(a * b) == degree(a) + degree(b)
+    if ring != "MotiveSeries":
+        assert a ** 3 == a * a * a
+        assert a ** 0 == a * 0 + 1
+    assert reparse(a) == a
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: LaurentPoly({0.5: 1}), TypeError),
+    (lambda: LaurentPoly({True: 1}), TypeError),
+    (lambda: LaurentPoly({1: 2.0}), TypeError),
+    (lambda: ONE + True, TypeError),
+    (lambda: MotiveSeries({1: True}), TypeError),
+    (lambda: MotiveSeries({1: 1}, -2.5), TypeError),
+    (lambda: MotiveSeries.from_poly(ONE, "-3"), TypeError),
+    (lambda: MotiveSeries({1: 1}, -2).with_floor(0.5), TypeError),
+    (lambda: MultiPoly(("x",), {(-1,): 1}), ValueError),
+    (lambda: MultiPoly(("x", "y"), {(1,): 1}), ArityMismatch),
+    (lambda: MultiPoly(("x",), {(1,): "a"}), ValueError),
+    (lambda: MultiPoly.constant(("x",), "1/0"), ZeroDivisionError),
+], ids=["laurent-float-exponent", "laurent-bool-exponent",
+        "laurent-float-coefficient", "laurent-plus-bool",
+        "series-bool-coefficient", "series-float-floor",
+        "from-poly-str-floor", "with-floor-float", "poly-negative-exponent",
+        "poly-arity", "poly-bad-coefficient", "poly-bad-constant"])
+def test_constructors_reject_malformed_terms(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_canonical_form_never_stores_zero():

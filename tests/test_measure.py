@@ -117,6 +117,17 @@ def test_resolution_json_round_trip():
     assert again == data
 
 
+def test_resolution_json_names_the_bad_field():
+    data = catalog.double_blowup_data().to_json()
+    data["strata"][1]["class"] = "u +* 1"
+    with pytest.raises(ValueError,
+                       match=r"^resolution\.strata\[1\]\.class: "):
+        ResolutionData.from_json(data)
+    data["strata"][1]["class"] = "1 + O(u^-4)"
+    with pytest.raises(ValueError, match=r"^x: stratum .*must be exact"):
+        ResolutionData.from_json(data, "x")
+
+
 def test_diagram_json_round_trip():
     diag = catalog.cusp_to_line_diagram()
     again = ResolutionDiagram.from_json(diag.to_json())

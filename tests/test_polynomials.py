@@ -70,6 +70,14 @@ small_polys = st.dictionaries(
 ).map(lambda terms: MultiPoly(XY, terms))
 
 
+def test_coefficients_stay_fractions():
+    p = MultiPoly(XY, {(1, 0): 2, (0, 1): -1})
+    for q in (p, p + 1, 1 - p, -p, p * p, p ** 0, p ** 3, p.diff(0),
+              MultiPoly.constant(XY, 3)):
+        assert q.terms
+        assert all(type(c) is Fraction for c in q.terms.values())
+
+
 @given(small_polys, small_polys, small_polys)
 @settings(max_examples=200)
 def test_poly_ring_axioms(a, b, c):
