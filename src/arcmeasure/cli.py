@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -63,16 +64,23 @@ def _literal_limit(exc, operands):
     return exc
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _fraction(value, path) -> Fraction:
     if isinstance(value, bool):
         raise SchemaError(path, "expected an integer or 'p/q' string")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(path, f"bad rational literal {value!r}")
+        # Fraction() alone would also take decimals, exponents, spaces
+        # and underscores; an exponent can ask for a huge denominator
+        if _RATIONAL.fullmatch(value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):  # digit limit, x/0
+                pass
+        raise SchemaError(path, f"bad rational literal {value!r}")
     raise SchemaError(path, "expected an integer or 'p/q' string")
 
 

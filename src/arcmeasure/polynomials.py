@@ -41,7 +41,10 @@ class MultiPoly:
         object.__setattr__(self, "variables", tuple(variables))
         clean = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
+            for e in exps:
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise TypeError(f"exponent {e!r} is not an int")
             if len(exps) != len(self.variables):
                 raise ArityMismatch(
                     f"exponent vector {exps} does not match "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .grothendieck import _power_text, _signed_sum
 from .polynomials import ArityMismatch, MultiPoly, PolySystem, matrix_minors
@@ -19,13 +20,22 @@ class IndeterminateAtCap(ArithmeticError):
     """The truncation cap is too small to settle the requested order."""
 
 
+def _coefficient(c) -> Fraction:
+    # exact rationals only: a float or bool coefficient is an input error
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int) and not isinstance(c, bool):
+        return Fraction(c)
+    raise TypeError(f"series coefficient {c!r} is not an int or Fraction")
+
+
 class TruncSeries:
     """Rational coefficients ``c_0 .. c_n`` of a series modulo ``t^(n+1)``."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, cap=None):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [_coefficient(c) for c in coeffs]
         if cap is not None:
             if cap < 0:
                 raise ValueError("cap must be nonnegative")
@@ -41,10 +51,11 @@ class TruncSeries:
 
     @classmethod
     def monomial(cls, exponent: int, cap: int, coefficient=1) -> "TruncSeries":
+        coefficient = _coefficient(coefficient)
         if exponent > cap:
             return cls([], cap)
         coeffs = [Fraction(0)] * (cap + 1)
-        coeffs[exponent] = Fraction(coefficient)
+        coeffs[exponent] = coefficient
         return cls(coeffs)
 
     @property
@@ -213,12 +224,14 @@ def _list_mul(a, b, cap, zero):
     return out
 
 
-def _evaluate_at_lists(f: MultiPoly, comps, cap, zero, lift):
-    """Value of f at component coefficient lists, over any coefficient ring.
+def _evaluate_at_lists(terms, comps, cap, zero):
+    """Value of a polynomial at component coefficient lists.
 
-    ``lift`` embeds a Fraction coefficient of f into the target ring;
-    ``zero`` is that ring's zero.  Powers of components are cached since
-    sparse polynomials reuse them heavily.
+    ``terms`` maps each exponent vector to its coefficient, already in
+    the ring of the ``comps`` entries, whose zero is ``zero``: Python
+    ints for :func:`compose`, :class:`MultiPoly` for
+    :func:`jet_equations`.  Powers of components are cached since sparse
+    polynomials reuse them heavily.
     """
     powers = [{1: list(c)} for c in comps]
 
@@ -231,8 +244,8 @@ def _evaluate_at_lists(f: MultiPoly, comps, cap, zero, lift):
         return cache[k]
 
     acc = [zero] * (cap + 1)
-    for exps, coeff in f.terms.items():
-        term = [lift(coeff)] + [zero] * cap
+    for exps, coeff in terms.items():
+        term = [coeff] + [zero] * cap
         for j, k in enumerate(exps):
             if k:
                 term = _list_mul(term, power(j, k), cap, zero)
@@ -241,13 +254,33 @@ def _evaluate_at_lists(f: MultiPoly, comps, cap, zero, lift):
 
 
 def compose(f: MultiPoly, arc: ArcJet) -> TruncSeries:
-    """Exact value of ``f`` along the arc, modulo ``t^(cap+1)``."""
+    """Exact value of ``f`` along the arc, modulo ``t^(cap+1)``.
+
+    The arithmetic is over the integers: component ``j`` is scaled by
+    the lcm ``D_j`` of its denominators, a term ``c*prod x_j^k_j`` then
+    has denominator ``den(c)*prod D_j^k_j``, and every term is brought
+    to the lcm ``L`` of those, so the result is the integer value over
+    ``L``.
+    """
     if len(f.variables) != len(arc):
         raise ArityMismatch(
             f"{len(f.variables)} variables but {len(arc)} arc components")
-    out = _evaluate_at_lists(f, [c.coeffs for c in arc.components],
-                             arc.cap, Fraction(0), Fraction)
-    return TruncSeries(out)
+    comps, scales = [], []
+    for c in arc.components:
+        d = lcm(*(x.denominator for x in c.coeffs))
+        comps.append([x.numerator * (d // x.denominator) for x in c.coeffs])
+        scales.append(d)
+    dens = {}
+    for exps, c in f.terms.items():
+        den = c.denominator
+        for d, k in zip(scales, exps):
+            den *= d ** k
+        dens[exps] = den
+    common = lcm(*dens.values())
+    terms = {exps: c.numerator * (common // dens[exps])
+             for exps, c in f.terms.items()}
+    acc = _evaluate_at_lists(terms, comps, arc.cap, 0)
+    return TruncSeries([Fraction(a, common) for a in acc])
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +315,15 @@ def jet_equations(system: PolySystem, level: int) -> PolySystem:
     n_vars = len(system.variables)
     jet_vars = jet_variable_names(n_vars, level)
     zero = MultiPoly.zero(jet_vars)
-
-    def lift(c):
-        return MultiPoly.constant(jet_vars, c)
-
     comps = []
     for j in range(n_vars):
         comps.append([MultiPoly.variable(jet_vars, j * (level + 1) + i)
                       for i in range(level + 1)])
     equations = []
     for g in system:
-        coeffs = _evaluate_at_lists(g, comps, level, zero, lift)
+        terms = {e: MultiPoly.constant(jet_vars, c)
+                 for e, c in g.terms.items()}
+        coeffs = _evaluate_at_lists(terms, comps, level, zero)
         equations.extend(c for c in coeffs if c)
     return PolySystem(jet_vars, equations)
 

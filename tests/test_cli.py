@@ -135,6 +135,25 @@ def test_compose_arc_row_count_checked(run):
     assert "payload.arc" in err
 
 
+def test_compose_accepts_integer_and_fraction_literals(run):
+    code, out, _ = run(problem("compose",
+                               {"variables": ["x"], "f": "x",
+                                "arc": [[1, "-3/4", "22/2"]]}, cap=2))
+    assert code == 0
+    assert out == "1 - 3/4*t + 11*t^2 + O(t^3)\n"
+
+
+@pytest.mark.parametrize("literal", [
+    "1.5", "1e3", "1_000", " 1/2 ", "+1", "1/0", "1e-4000", "1e-5000"])
+def test_compose_rejects_loose_rational_literals(run, literal):
+    code, _, err = run(problem("compose",
+                               {"variables": ["x"], "f": "x",
+                                "arc": [[0, literal]]}, cap=1))
+    assert code == 2
+    assert err.startswith(
+        f"error: payload.arc[0][1]: bad rational literal {literal!r}")
+
+
 # ---------------------------------------------------------------------------
 # measure / integrate
 

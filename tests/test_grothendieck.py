@@ -409,11 +409,15 @@ def test_ring_laws(ring, data):
     (lambda: MultiPoly(("x", "y"), {(1,): 1}), ArityMismatch),
     (lambda: MultiPoly(("x",), {(1,): "a"}), ValueError),
     (lambda: MultiPoly.constant(("x",), "1/0"), ZeroDivisionError),
+    (lambda: MultiPoly(("x",), {(1.5,): 1}), TypeError),
+    (lambda: MultiPoly(("x",), {("2",): 1}), TypeError),
+    (lambda: MultiPoly(("x",), {(True,): 1}), TypeError),
 ], ids=["laurent-float-exponent", "laurent-bool-exponent",
         "laurent-float-coefficient", "laurent-plus-bool",
         "series-bool-coefficient", "series-float-floor",
         "from-poly-str-floor", "with-floor-float", "poly-negative-exponent",
-        "poly-arity", "poly-bad-coefficient", "poly-bad-constant"])
+        "poly-arity", "poly-bad-coefficient", "poly-bad-constant",
+        "poly-float-exponent", "poly-str-exponent", "poly-bool-exponent"])
 def test_constructors_reject_malformed_terms(build, error):
     with pytest.raises(error):
         build()

@@ -41,6 +41,22 @@ def test_render_trunc():
     assert render_trunc(TruncSeries([], cap=2)) == "O(t^3)"
 
 
+@pytest.mark.parametrize("coeff", [0.1, 1.0, True, "1/2", None])
+def test_trunc_series_rejects_inexact_coefficients(coeff):
+    with pytest.raises(TypeError):
+        TruncSeries([1, coeff], 2)
+    with pytest.raises(TypeError):
+        TruncSeries.monomial(1, 2, coeff)
+    with pytest.raises(TypeError):
+        TruncSeries.monomial(3, 2, coeff)  # past the cap as well
+
+
+def test_trunc_series_keeps_fractions():
+    s = TruncSeries([2, Fraction(1, 3)], 2)
+    assert s.coeffs == (2, Fraction(1, 3), 0)
+    assert all(type(c) is Fraction for c in s.coeffs)
+
+
 def test_arcjet_shares_cap():
     with pytest.raises(ValueError):
         ArcJet((TruncSeries([1], 1), TruncSeries([1], 2)))
@@ -90,6 +106,48 @@ def test_compose_is_ring_morphism(fa, gb):
     g, _ = gb
     assert compose(f + g, arc) == compose(f, arc) + compose(g, arc)
     assert compose(f * g, arc) == compose(f, arc) * compose(g, arc)
+
+
+def naive_compose(f, rows, cap):
+    """Dense Fraction reference: every monomial as repeated series products."""
+    out = [Fraction(0)] * (cap + 1)
+    for exps, c in f.terms.items():
+        term = [c] + [Fraction(0)] * cap
+        for row, k in zip(rows, exps):
+            for _ in range(k):
+                term = [sum((term[i] * row[n - i] for i in range(n + 1)),
+                            Fraction(0)) for n in range(cap + 1)]
+        out = [a + b for a, b in zip(out, term)]
+    return tuple(out)
+
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+@st.composite
+def poly_and_rational_arc(draw):
+    n = draw(st.integers(1, 3))
+    variables = ("x", "y", "z")[:n]
+    terms = draw(st.one_of(
+        st.just({}),
+        RATIONALS.map(lambda c: {(0,) * n: c}),
+        st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), RATIONALS,
+                        max_size=5)))
+    cap = draw(st.integers(0, 20))
+    row = st.lists(RATIONALS, min_size=cap + 1, max_size=cap + 1)
+    rows = [draw(st.one_of(st.just([Fraction(0)] * (cap + 1)), row))
+            for _ in variables]
+    from arcmeasure import MultiPoly
+    return MultiPoly(variables, terms), rows, cap
+
+
+@given(poly_and_rational_arc())
+@settings(max_examples=200, deadline=None)
+def test_compose_matches_dense_fraction_reference(case):
+    f, rows, cap = case
+    out = compose(f, jet(rows, cap))
+    assert out.coeffs == naive_compose(f, rows, cap)
+    assert all(type(c) is Fraction for c in out.coeffs)
 
 
 # ---------------------------------------------------------------------------
