@@ -14,9 +14,9 @@ to Inconclusive with the failing certificate attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .grothendieck import NEG_INF, Order, _floor_of, leq_order, render
+from .grothendieck import NEG_INF, Order, leq_order, render
 from .measure import ResolutionDiagram, image_measure, ord_jac_on_stratum
 from .series import matrix_entry_orders
 
@@ -127,6 +127,22 @@ def _witness_json(witness):
     return {"stratum": name, "contacts": list(contacts)}
 
 
+def _bound_hypothesis(verdict, side, hypotheses, certificates):
+    """Record the Jacobian bound on ``side`` ("below" or "above").
+
+    A failed bound also records its witness; returns whether it holds.
+    """
+    ok = getattr(verdict, f"bounded_{side}")
+    rule = "q <= p" if side == "below" else "p <= q"
+    hypotheses.append((f"jacobian_bounded_{side}", "pass" if ok else "fail",
+                       f"componentwise {rule} on every stratum" if ok
+                       else "violating contact vector recorded"))
+    if not ok:
+        certificates[f"witness_{side}"] = _witness_json(
+            getattr(verdict, f"witness_{side}"))
+    return ok
+
+
 def inverse_mapping_report(diagram: ResolutionDiagram, mu_x, mu_y,
                            floor=DEFAULT_REPORT_FLOOR) -> TheoremReport:
     """Certify that the inverse of a measure-preserving map behaves.
@@ -147,25 +163,16 @@ def inverse_mapping_report(diagram: ResolutionDiagram, mu_x, mu_y,
     order = leq_order(mu_x, mu_y)
     certificates["measure_order"] = order
 
-    ok = order == Order.EQUAL
-    hypotheses.append(("measures_equal", "pass" if ok else "fail",
+    equal = order == Order.EQUAL
+    hypotheses.append(("measures_equal", "pass" if equal else "fail",
                        f"leq_order returned {order}"))
-    failed = not ok
-
-    ok = verdict.bounded_below
-    hypotheses.append(("jacobian_bounded_below", "pass" if ok else "fail",
-                       "componentwise q <= p on every stratum" if ok
-                       else "violating contact vector recorded"))
-    if not ok:
-        certificates["witness_below"] = _witness_json(verdict.witness_below)
-        failed = True
-
-    if failed:
+    bounded = _bound_hypothesis(verdict, "below", hypotheses, certificates)
+    if not (equal and bounded):
         return TheoremReport(Conclusion.INCONCLUSIVE, tuple(hypotheses),
                              certificates)
 
-    given = max(_floor_of(mu_x), _floor_of(mu_y))
-    image = image_measure(diagram, floor if given == NEG_INF else int(given))
+    given = max(mu_x.floor, mu_y.floor)
+    image = image_measure(diagram, floor if given == NEG_INF else given)
     certificates["image_measure"] = render(image)
     image_order = leq_order(image, mu_y)
     ok = image_order == Order.EQUAL
@@ -176,12 +183,7 @@ def inverse_mapping_report(diagram: ResolutionDiagram, mu_x, mu_y,
         return TheoremReport(Conclusion.INCONCLUSIVE, tuple(hypotheses),
                              certificates)
 
-    ok = verdict.bounded_above
-    hypotheses.append(("jacobian_bounded_above", "pass" if ok else "fail",
-                       "componentwise p <= q on every stratum" if ok
-                       else "violating contact vector recorded"))
-    if not ok:
-        certificates["witness_above"] = _witness_json(verdict.witness_above)
+    if not _bound_hypothesis(verdict, "above", hypotheses, certificates):
         return TheoremReport(Conclusion.INCONCLUSIVE, tuple(hypotheses),
                              certificates)
 
@@ -201,12 +203,7 @@ def measure_comparison_report(diagram: ResolutionDiagram, mu_x, mu_y
     hypotheses = []
     certificates = {"mu_x": render(mu_x), "mu_y": render(mu_y)}
     verdict = check_boundedness(diagram)
-    ok = verdict.bounded_below
-    hypotheses.append(("jacobian_bounded_below", "pass" if ok else "fail",
-                       "componentwise q <= p on every stratum" if ok
-                       else "violating contact vector recorded"))
-    if not ok:
-        certificates["witness_below"] = _witness_json(verdict.witness_below)
+    if not _bound_hypothesis(verdict, "below", hypotheses, certificates):
         return TheoremReport(Conclusion.INCONCLUSIVE, tuple(hypotheses),
                              certificates)
 

@@ -8,7 +8,7 @@ singular-locus fixture.
 
 from __future__ import annotations
 
-from .grothendieck import LaurentPoly
+from .grothendieck import MotiveSeries
 from .measure import (MultiplicityVector, ResolutionData, ResolutionDiagram,
                       SNCStratum)
 from .polynomials import MultiPoly, parse_poly
@@ -30,7 +30,7 @@ def line_data() -> ResolutionData:
     One divisor point at the origin, no Jacobian vanishing; summing the
     contact strata telescopes to the measure ``u^-1``.
     """
-    origin = SNCStratum("origin", (0,), LaurentPoly.one(), 1)
+    origin = SNCStratum("origin", (0,), MotiveSeries.one(), 1)
     return ResolutionData((origin,), (MultiplicityVector((0,)),))
 
 
@@ -40,7 +40,7 @@ def cusp_data() -> ResolutionData:
     The parameter line maps onto the curve with Jacobian vanishing to
     order one at the preimage of the singular point.
     """
-    origin = SNCStratum("origin", (0,), LaurentPoly.one(), 1)
+    origin = SNCStratum("origin", (0,), MotiveSeries.one(), 1)
     return ResolutionData((origin,), (MultiplicityVector((1,)),))
 
 
@@ -50,7 +50,7 @@ def identity_data(dim: int) -> ResolutionData:
     The center is a single point carrying no divisor constraint, so the
     measure is read off exactly as ``u^-d``.
     """
-    center = SNCStratum("center", (), LaurentPoly.one(), dim)
+    center = SNCStratum("center", (), MotiveSeries.one(), dim)
     return ResolutionData((center,), (MultiplicityVector(()),))
 
 
@@ -63,7 +63,7 @@ def blowup_data(dim: int) -> ResolutionData:
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    cls = LaurentPoly({i: 1 for i in range(dim)})
+    cls = MotiveSeries({i: 1 for i in range(dim)})
     e = SNCStratum("E", (0,), cls, dim)
     return ResolutionData((e,), (MultiplicityVector((dim - 1,)),))
 
@@ -77,8 +77,8 @@ def double_blowup_data() -> ResolutionData:
     the two divisors.
     """
     d = 2
-    u = LaurentPoly.monomial(1)
-    one = LaurentPoly.one()
+    u = MotiveSeries.monomial(1)
+    one = MotiveSeries.one()
     strata = (
         SNCStratum("E1_open", (0,), u, d),
         SNCStratum("E2_open", (1,), u, d),

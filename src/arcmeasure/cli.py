@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .analysis import (Conclusion, inverse_mapping_report,
                        measure_comparison_report)
-from .grothendieck import MotiveSeries, PrecisionExhausted, render, virtual_dim
+from .grothendieck import PrecisionExhausted, render, virtual_dim
 from .measure import (DivergentExponent, ResolutionData, ResolutionDiagram,
                       SchemaError, _get, _int_list, _parse_motive_field,
                       compare_germ_measures, germ_measure, motivic_integral)
@@ -55,7 +55,7 @@ def _literal_limit(exc, operands):
     """
     floors = [(value.floor, path, isinstance(spec, str))
               for path, spec, value in operands
-              if isinstance(value, MotiveSeries) and not value.is_exact()]
+              if not value.is_exact()]
     if floors:
         top = max(f for f, _, _ in floors)
         for f, path, literal in floors:

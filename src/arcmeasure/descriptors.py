@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grothendieck import (NEG_INF, LaurentPoly, MotiveSeries, render,
-                           parse_motive, virtual_dim)
+from .grothendieck import MotiveSeries, parse_motive, render, virtual_dim
 
 
 class SingularAmbient(ValueError):
@@ -33,7 +32,7 @@ class StableSetDescriptor:
     """
 
     level: int
-    class_at_level: LaurentPoly
+    class_at_level: MotiveSeries
     ambient_dim: int
 
     def __post_init__(self):
@@ -50,16 +49,16 @@ class StableSetDescriptor:
     @classmethod
     def from_json(cls, data: dict) -> "StableSetDescriptor":
         cls_poly = parse_motive(data["class"])
-        if not isinstance(cls_poly, LaurentPoly):
+        if not cls_poly.is_exact():
             raise ValueError("descriptor class must be an exact polynomial")
         return cls(level=int(data["level"]), class_at_level=cls_poly,
                    ambient_dim=int(data["dim"]))
 
 
-def measure_stable(a: StableSetDescriptor) -> LaurentPoly:
+def measure_stable(a: StableSetDescriptor) -> MotiveSeries:
     """Class at level n rescaled by the fiber count, ``u^-(n+1)d``."""
     shift = -(a.level + 1) * a.ambient_dim
-    return a.class_at_level * LaurentPoly.monomial(shift)
+    return a.class_at_level * MotiveSeries.monomial(shift)
 
 
 def re_level(a: StableSetDescriptor, new_level: int) -> StableSetDescriptor:
@@ -70,7 +69,7 @@ def re_level(a: StableSetDescriptor, new_level: int) -> StableSetDescriptor:
     """
     if new_level < a.level:
         raise ValueError("cannot lower the level of a stable set")
-    factor = LaurentPoly.monomial(a.ambient_dim * (new_level - a.level))
+    factor = MotiveSeries.monomial(a.ambient_dim * (new_level - a.level))
     return StableSetDescriptor(level=new_level,
                                class_at_level=a.class_at_level * factor,
                                ambient_dim=a.ambient_dim)
@@ -90,7 +89,7 @@ class CylinderDescriptor:
     """
 
     level: int
-    base_class: LaurentPoly
+    base_class: MotiveSeries
     ambient_dim: int
     nonsingular_ambient: bool = True
 
@@ -103,7 +102,7 @@ class CylinderDescriptor:
                                    ambient_dim=self.ambient_dim)
 
 
-def measure_cylinder(c: CylinderDescriptor) -> LaurentPoly:
+def measure_cylinder(c: CylinderDescriptor) -> MotiveSeries:
     return measure_stable(c.as_stable())
 
 
@@ -148,7 +147,7 @@ def measure_measurable(m: MeasurableDescriptor, floor: int) -> MotiveSeries:
     if chosen is None:
         raise InsufficientApproximants(
             f"no approximant with error bound <= {floor}")
-    return MotiveSeries.from_poly(measure_stable(chosen), floor)
+    return measure_stable(chosen).with_floor(floor)
 
 
 def disjoint_union_measure(parts, floor: int) -> MotiveSeries:

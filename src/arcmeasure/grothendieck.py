@@ -1,16 +1,17 @@
 """Exact arithmetic for virtual Poincare classes.
 
 Classes of arc-symmetric sets are represented through their virtual
-Poincare polynomial, so every value in this module is either a Laurent
-polynomial in one variable ``u`` with integer coefficients, or a
-truncated series in ``u^-1`` carrying an explicit precision floor.
+Poincare polynomial, so every value in this module is one type,
+:class:`MotiveSeries`: a Laurent series in ``u^-1`` with integer
+coefficients and an explicit precision floor.  An exact value, a Laurent
+polynomial, is the series whose floor is ``NEG_INF``.
 
-The precision model is the whole point of :class:`MotiveSeries`.  A
-series with floor ``m`` is known exactly in every degree strictly above
-``m``; degrees ``<= m`` are unknown.  Arithmetic propagates floors
-pessimistically, so a stored coefficient is always the true one.  When a
-question (dimension, ordering) cannot be settled above the floor the
-functions here raise :class:`PrecisionExhausted` instead of guessing.
+The precision model is the whole point.  A series with floor ``m`` is
+known exactly in every degree strictly above ``m``; degrees ``<= m`` are
+unknown.  Arithmetic propagates floors pessimistically, so a stored
+coefficient is always the true one.  When a question (dimension,
+ordering) cannot be settled above the floor the functions here raise
+:class:`PrecisionExhausted` instead of guessing.
 
 Integer coefficients are Python ints, hence arbitrary precision.  No
 floats enter any computation; ``NEG_INF`` appears only as the degree of
@@ -32,15 +33,19 @@ class BoundViolated(ValueError):
     """A declared dimension bound fails on an actual difference."""
 
 
+def _check_int(value, what):
+    """``value`` itself if it is an int; a bool or a non-int is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} {value!r} is not an int")
+    return value
+
+
 def _as_terms(exponent_map):
     # drop zero coefficients, validate integrality
     out = {}
     for e, c in exponent_map.items():
-        if not isinstance(e, int) or isinstance(e, bool):
-            raise TypeError(f"exponent {e!r} is not an int")
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise TypeError(f"coefficient {c!r} is not an int")
-        if c:
+        _check_int(e, "exponent")
+        if _check_int(c, "coefficient"):
             out[e] = c
     return out
 
@@ -48,7 +53,7 @@ def _as_terms(exponent_map):
 # ---------------------------------------------------------------------------
 # sparse-term kernel
 #
-# LaurentPoly, MotiveSeries and polynomials.MultiPoly all store a map
+# MotiveSeries and polynomials.MultiPoly both store a map
 # {key: nonzero coefficient}; keys are int exponents or exponent tuples.
 # These functions take maps their constructors already validated and
 # return new maps without zero coefficients.
@@ -96,130 +101,27 @@ def _pow_terms(a, n, one, combine):
     return result
 
 
-class LaurentPoly:
-    """Integer Laurent polynomial in ``u``.
+class MotiveSeries:
+    """Laurent series in ``u^-1`` known exactly above a precision floor.
 
-    ``terms`` maps exponent to nonzero coefficient; the zero polynomial
-    is the empty map.  Instances are treated as immutable.
+    ``floor`` is an int, or ``NEG_INF`` for an exact element: a Laurent
+    polynomial, whose unknown tail is empty.  Every stored exponent is
+    strictly above the floor, and ``terms`` maps exponent to nonzero
+    coefficient.  ``top`` is the largest stored exponent, ``NEG_INF``
+    when no nonzero coefficient is known yet; the true degree of the
+    represented element never exceeds ``max(top, floor)``.  Instances
+    are treated as immutable.
 
     Example::
 
-        >>> p = LaurentPoly({1: 1, 0: -1})   # u - 1
-        >>> q = LaurentPoly({1: 1, 0: 1})    # u + 1
+        >>> p = MotiveSeries({1: 1, 0: -1})   # u - 1
+        >>> q = MotiveSeries({1: 1, 0: 1})    # u + 1
         >>> (p + q).terms
         {1: 2}
         >>> (p * q).terms == {2: 1, 0: -1}
         True
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, exponent_map=None):
-        object.__setattr__(self, "terms", _as_terms(exponent_map or {}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls({exponent: coefficient})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        if isinstance(other, LaurentPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return _laurent({e: -c for e, c in self.terms.items()})
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return LaurentPoly({0: other})
-        if isinstance(other, LaurentPoly):
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _laurent(_add_terms(self.terms, o.terms))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _laurent(_add_terms(self.terms, o.terms, -1))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _laurent(_add_terms(o.terms, self.terms, -1))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _laurent(_mul_terms(self.terms, o.terms, add))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return _laurent(_pow_terms(self.terms, n, {0: 1}, add))
-
-    @property
-    def degree(self):
-        """Maximal exponent, NEG_INF for zero."""
-        return max(self.terms) if self.terms else NEG_INF
-
-    def leading_coefficient(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.terms[max(self.terms)]
-
-    def __repr__(self):
-        return f"LaurentPoly({render(self)!r})"
-
-
-def _laurent(terms):
-    # a LaurentPoly over trusted terms: int keys, nonzero int values
-    p = object.__new__(LaurentPoly)
-    object.__setattr__(p, "terms", terms)
-    return p
-
-
-U = LaurentPoly.monomial(1)
-ONE = LaurentPoly.one()
-ZERO = LaurentPoly.zero()
-
-
-class MotiveSeries:
-    """Laurent series in ``u^-1`` known exactly above a precision floor.
-
-    ``floor`` is an int, or ``NEG_INF`` for an exact element (an embedded
-    Laurent polynomial).  Every stored exponent is strictly above the
-    floor.  ``top`` is the largest stored exponent, ``NEG_INF`` when no
-    nonzero coefficient is known yet; the true degree of the represented
-    element never exceeds ``max(top, floor)``.
+        >>> p * MotiveSeries({0: 1}, -3)
+        MotiveSeries('u - 1 + O(u^-2)')
     """
 
     __slots__ = ("terms", "floor")
@@ -234,14 +136,21 @@ class MotiveSeries:
         raise AttributeError("MotiveSeries is immutable")
 
     @classmethod
-    def from_poly(cls, p: LaurentPoly, floor=NEG_INF) -> "MotiveSeries":
-        """Embed a Laurent polynomial, exactly by default.
+    def zero(cls) -> "MotiveSeries":
+        return cls({})
 
-        Passing a finite ``floor`` forgets all coefficients at or below
-        it, which models the polynomial viewed at that precision.
-        """
-        _check_floor(floor)
-        return _series(_above(p.terms, floor), floor)
+    @classmethod
+    def one(cls) -> "MotiveSeries":
+        return cls({0: 1})
+
+    @classmethod
+    def monomial(cls, exponent: int, coefficient: int = 1) -> "MotiveSeries":
+        return cls({exponent: coefficient})
+
+    @classmethod
+    def from_poly(cls, p: "MotiveSeries", floor=NEG_INF) -> "MotiveSeries":
+        """``p`` viewed at precision ``floor``; ``p.with_floor(floor)``."""
+        return p.with_floor(floor)
 
     @property
     def top(self):
@@ -249,6 +158,19 @@ class MotiveSeries:
 
     def is_exact(self) -> bool:
         return self.floor == NEG_INF
+
+    @property
+    def degree(self):
+        """Maximal exponent of an exact element, NEG_INF for zero."""
+        if not self.is_exact():
+            raise ValueError(f"degree unknown below floor {self.floor}")
+        return self.top
+
+    def leading_coefficient(self) -> int:
+        top = self.degree  # ValueError on a finite floor
+        if top == NEG_INF:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.terms[top]
 
     def __bool__(self):
         return bool(self.terms)
@@ -260,6 +182,8 @@ class MotiveSeries:
         return self.terms == other.terms and self.floor == other.floor
 
     def __hash__(self):
+        if self.floor == NEG_INF and self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))  # equal to an int
         return hash((frozenset(self.terms.items()), self.floor))
 
     def __neg__(self):
@@ -289,6 +213,8 @@ class MotiveSeries:
         o = _coerce_series(other)
         if o is None:
             return NotImplemented
+        if self.floor == o.floor == NEG_INF:
+            return _series(_mul_terms(self.terms, o.terms, add), NEG_INF)
         # Unknown tails contaminate degrees up to floor+top of the other
         # factor, and the two tails contaminate floor_a+floor_b.
         floor = max(self.floor + o.top, o.floor + self.top,
@@ -298,6 +224,11 @@ class MotiveSeries:
         return _series(_mul_terms(self.terms, o.terms, add, floor), floor)
 
     __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if not self.is_exact():
+            return NotImplemented
+        return _series(_pow_terms(self.terms, n, {0: 1}, add), NEG_INF)
 
     def with_floor(self, new_floor) -> "MotiveSeries":
         """Forget information: raise the floor to ``new_floor``."""
@@ -311,9 +242,13 @@ class MotiveSeries:
         return f"MotiveSeries({render(self)!r})"
 
 
+# the exact elements, Laurent polynomials, are the series with no floor
+LaurentPoly = MotiveSeries
+
+
 def _check_floor(floor):
-    if floor != NEG_INF and not isinstance(floor, int):
-        raise TypeError("floor must be an int or NEG_INF")
+    if floor != NEG_INF:
+        _check_int(floor, "floor")
 
 
 def _above(terms, floor):
@@ -343,16 +278,14 @@ def _series_sum(a, b, sign):
 def _coerce_series(x):
     if isinstance(x, MotiveSeries):
         return x
-    if isinstance(x, LaurentPoly):
-        return _series(x.terms, NEG_INF)
     if isinstance(x, int):
         return MotiveSeries({0: x})
     return None
 
 
-def _floor_of(a):
-    """Precision floor of a ring value; NEG_INF for an exact one."""
-    return a.floor if isinstance(a, MotiveSeries) else NEG_INF
+U = MotiveSeries.monomial(1)
+ONE = MotiveSeries.one()
+ZERO = MotiveSeries.zero()
 
 
 def virtual_dim(a):
@@ -362,16 +295,14 @@ def virtual_dim(a):
     that vanishes down to a finite floor the dimension is undecidable
     and :class:`PrecisionExhausted` is raised.
     """
-    if isinstance(a, LaurentPoly):
-        return a.degree
-    if isinstance(a, MotiveSeries):
-        if a.terms:
-            return max(a.terms)
-        if a.is_exact():
-            return NEG_INF
-        raise PrecisionExhausted(
-            f"series vanishes above floor {a.floor}; dimension unknown")
-    raise TypeError(f"expected LaurentPoly or MotiveSeries, got {type(a)!r}")
+    if not isinstance(a, MotiveSeries):
+        raise TypeError(f"expected MotiveSeries, got {type(a)!r}")
+    if a.terms:
+        return max(a.terms)
+    if a.is_exact():
+        return NEG_INF
+    raise PrecisionExhausted(
+        f"series vanishes above floor {a.floor}; dimension unknown")
 
 
 class Order:
@@ -507,9 +438,9 @@ def render(a) -> str:
     ``u^-2 - u^-3 + O(u^-10)`` is a series with floor -10; an exact
     element has no O term and zero renders as ``0``.
     """
-    if not isinstance(a, (LaurentPoly, MotiveSeries)):
+    if not isinstance(a, MotiveSeries):
         raise TypeError(f"cannot render {type(a)!r}")
-    terms, floor = a.terms, _floor_of(a)
+    terms, floor = a.terms, a.floor
     body = _signed_sum([(terms[e], _power_text("u", e))
                         for e in sorted(terms, reverse=True)])
     if floor == NEG_INF:
@@ -527,18 +458,16 @@ class RingParseError(ValueError):
 
 
 def parse_motive(text: str):
-    """Parse the canonical form back into a value.
+    """Parse the canonical form back into a :class:`MotiveSeries`.
 
-    Returns a :class:`LaurentPoly` when no O term is present, otherwise
-    a :class:`MotiveSeries` with the floor the O term states.  Accepts
+    The floor is the one the O term states, ``NEG_INF`` (an exact value)
+    when there is none.  Accepts
     the exact grammar :func:`render` produces, plus fully explicit
     variants like ``1*u^1``.  A term at or below the stated floor and a
     minus sign before the O term are rejected: neither has a meaning
     the floor could keep.
     """
     s = text.strip()
-    if s == "0":
-        return LaurentPoly.zero()
     pos = 0
     n = len(s)
 
@@ -560,7 +489,7 @@ def parse_motive(text: str):
 
     terms = {}
     starts = {}  # exponent -> offset of its first term
-    floor = None
+    floor = NEG_INF
     sign = 1
     pos = skip_ws(pos)
     sign_pos = pos
@@ -619,8 +548,6 @@ def parse_motive(text: str):
             raise RingParseError("dangling operator", pos)
     if pos != n:
         raise RingParseError("trailing input", pos)
-    if floor is None:
-        return LaurentPoly(terms)
     buried = [starts[e] for e in terms if e <= floor]
     if buried:
         raise RingParseError(

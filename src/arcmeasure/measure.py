@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .grothendieck import (NEG_INF, LaurentPoly, MotiveSeries, RingParseError,
-                           _floor_of, _series, leq_order, parse_motive,
-                           render)
+from .grothendieck import (NEG_INF, MotiveSeries, RingParseError, _check_int,
+                           _series, leq_order, parse_motive, render)
 
 
 class BadContact(ValueError):
@@ -56,7 +55,7 @@ class MultiplicityVector:
     values: tuple
 
     def __init__(self, values):
-        values = tuple(int(v) for v in values)
+        values = tuple(_check_int(v, "multiplicity") for v in values)
         if any(v < 0 for v in values):
             raise ValueError("multiplicities must be nonnegative")
         object.__setattr__(self, "values", values)
@@ -82,34 +81,35 @@ class SNCStratum:
 
     name: str
     index_set: tuple
-    stratum_class: LaurentPoly
+    stratum_class: MotiveSeries
     ambient_dim: int
 
     def __init__(self, name, index_set, stratum_class, ambient_dim):
         index_set = tuple(index_set)
         if len(set(index_set)) != len(index_set):
             raise ValueError("repeated divisor component in index set")
-        ambient_dim = int(ambient_dim)
-        if ambient_dim < 1:
+        if _check_int(ambient_dim, "ambient dimension") < 1:
             raise ValueError("ambient dimension must be positive")
         if len(index_set) > ambient_dim:
             raise ValueError(
                 "more divisor components than the ambient dimension")
-        if not isinstance(stratum_class, LaurentPoly) or not stratum_class:
-            raise ValueError("stratum class must be a nonzero LaurentPoly")
+        if not isinstance(stratum_class, MotiveSeries) or not stratum_class:
+            raise ValueError(f"stratum {name!r}: class must be nonzero")
+        if not stratum_class.is_exact():
+            raise ValueError(f"stratum {name!r}: class must be exact")
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "index_set", index_set)
         object.__setattr__(self, "stratum_class", stratum_class)
         object.__setattr__(self, "ambient_dim", ambient_dim)
 
 
-def contact_stratum_measure(stratum: SNCStratum, contacts) -> LaurentPoly:
+def contact_stratum_measure(stratum: SNCStratum, contacts) -> MotiveSeries:
     """Measure of the arcs with prescribed contact orders at the stratum.
 
     One factor ``(u-1)`` and one scaling ``u^-e_i`` per component, on
     top of the generic ``u^-d`` for arcs through a d-dimensional space.
     """
-    contacts = tuple(int(e) for e in contacts)
+    contacts = tuple(_check_int(e, "contact order") for e in contacts)
     if len(contacts) != len(stratum.index_set):
         raise IndexMismatch(
             f"{len(contacts)} contact orders for "
@@ -117,8 +117,8 @@ def contact_stratum_measure(stratum: SNCStratum, contacts) -> LaurentPoly:
     if any(e < 1 for e in contacts):
         raise BadContact("contact orders must be at least 1")
     shift = -sum(contacts) - stratum.ambient_dim
-    factor = (LaurentPoly({1: 1, 0: -1}) ** len(contacts))
-    return stratum.stratum_class * factor * LaurentPoly.monomial(shift)
+    factor = MotiveSeries({1: 1, 0: -1}) ** len(contacts)
+    return stratum.stratum_class * factor * MotiveSeries.monomial(shift)
 
 
 def ord_jac_on_stratum(mults, contacts) -> int:
@@ -128,7 +128,8 @@ def ord_jac_on_stratum(mults, contacts) -> int:
     if len(mults) != len(contacts):
         raise IndexMismatch(
             f"{len(mults)} multiplicities for {len(contacts)} contacts")
-    return sum(int(m) * int(e) for m, e in zip(mults, contacts))
+    return sum(_check_int(m, "multiplicity") * _check_int(e, "contact order")
+               for m, e in zip(mults, contacts))
 
 
 @dataclass(frozen=True)
@@ -302,11 +303,8 @@ def _resolution_from_json(cls, data, path, legs):
                                 f"{p}.{leg}", allow_negative=False)
                       for leg in legs])
     try:
-        strata = []
-        for name, index_set, cls_value in fields:
-            if not isinstance(cls_value, LaurentPoly):
-                raise ValueError(f"stratum {name!r}: class must be exact")
-            strata.append(SNCStratum(name, index_set, cls_value, d))
+        strata = [SNCStratum(name, index_set, cls_value, d)
+                  for name, index_set, cls_value in fields]
         return cls(strata, *zip(*mults))  # one tuple per leg
     except ValueError as exc:
         raise SchemaError(path, str(exc))
@@ -315,15 +313,24 @@ def _resolution_from_json(cls, data, path, legs):
 # ---------------------------------------------------------------------------
 # integration
 
+def _alpha_rows(data, alpha_mults):
+    # one alpha vector (None for alpha = 0) per stratum
+    if alpha_mults is None:
+        return [None] * len(data.strata)
+    if len(alpha_mults) != len(data.strata):
+        raise IndexMismatch("one alpha vector per stratum required")
+    return alpha_mults
+
+
 def _contact_exponents(stratum, mults, alpha):
     if alpha is None:
         alpha = (0,) * len(stratum.index_set)
-    alpha = tuple(int(x) for x in alpha)
+    alpha = tuple(_check_int(x, "alpha") for x in alpha)
     if len(alpha) != len(stratum.index_set):
         raise IndexMismatch(
             f"stratum {stratum.name!r}: alpha vector length "
             f"{len(alpha)} does not match the index set")
-    ks = tuple(1 + int(a) + x for a, x in zip(mults, alpha))
+    ks = tuple(1 + a + x for a, x in zip(mults, alpha))
     for k in ks:
         if k <= 0:
             raise DivergentExponent(
@@ -340,12 +347,10 @@ def _stratum_closed_form(stratum, ks, floor: int) -> MotiveSeries:
     # top), a running sum along every residue class mod k.  Division
     # only carries coefficients downward, so those above the floor are
     # exact as computed.
-    prefactor = stratum.stratum_class \
-        * LaurentPoly({1: 1, 0: -1}) ** len(ks) \
-        * LaurentPoly.monomial(-stratum.ambient_dim - sum(ks))
+    prefactor = contact_stratum_measure(stratum, ks)
     if not ks:
-        return MotiveSeries.from_poly(prefactor)
-    top = int(prefactor.degree)
+        return prefactor
+    top = prefactor.degree
     coeffs = [0] * max(top - floor, 0)
     for e, c in prefactor.terms.items():
         if e > floor:
@@ -367,13 +372,9 @@ def motivic_integral(data: ResolutionData, alpha_mults, floor: int
     exponent ``1 + a_i + alpha_i`` stays positive; otherwise the contact
     series diverges and :class:`DivergentExponent` is raised.
     """
-    if alpha_mults is None:
-        alpha_mults = [None] * len(data.strata)
-    if len(alpha_mults) != len(data.strata):
-        raise IndexMismatch("one alpha vector per stratum required")
     total = None
     for stratum, mults, alpha in zip(data.strata, data.jac_mults,
-                                     alpha_mults):
+                                     _alpha_rows(data, alpha_mults)):
         ks = _contact_exponents(stratum, mults, alpha)
         part = _stratum_closed_form(stratum, ks, floor)
         total = part if total is None else total + part
@@ -392,24 +393,20 @@ def motivic_integral_by_enumeration(data: ResolutionData, alpha_mults,
     is raised to the highest exponent a dropped tuple can reach, so
     every returned coefficient is still exact.
     """
-    if alpha_mults is None:
-        alpha_mults = [None] * len(data.strata)
-    if len(alpha_mults) != len(data.strata):
-        raise IndexMismatch("one alpha vector per stratum required")
-    total = LaurentPoly.zero()
+    total = MotiveSeries.zero()
     result_floor = floor
     for stratum, mults, alpha in zip(data.strata, data.jac_mults,
-                                     alpha_mults):
+                                     _alpha_rows(data, alpha_mults)):
         ks = _contact_exponents(stratum, mults, alpha)
         weights = tuple(k - 1 for k in ks)  # a_i + alpha_i
         r = len(ks)
         if r == 0:
-            total = total + stratum.stratum_class * LaurentPoly.monomial(
+            total = total + stratum.stratum_class * MotiveSeries.monomial(
                 -stratum.ambient_dim)
             continue
         # a tuple contributes in degrees <= top - sum(k_i e_i), so those
         # with sum(k_i e_i) >= budget sit at or below floor
-        top = int(stratum.stratum_class.degree) + r - stratum.ambient_dim
+        top = stratum.stratum_class.degree + r - stratum.ambient_dim
         budget = top - floor
         if max_total_contact is not None:
             # the highest dropped tuple puts every contact beyond the
@@ -418,7 +415,7 @@ def motivic_integral_by_enumeration(data: ResolutionData, alpha_mults,
             result_floor = max(result_floor,
                                top - sum(ks) - extra * min(ks))
 
-        def tuples(prefix, remaining):
+        def tuples(prefix):
             i = len(prefix)
             if i == r:
                 yield prefix
@@ -433,14 +430,14 @@ def motivic_integral_by_enumeration(data: ResolutionData, alpha_mults,
                     tail_min = sum(ks[i + 1:])
                     if spent + ks[i] * e + tail_min > budget:
                         break
-                yield from tuples(prefix + (e,), remaining)
+                yield from tuples(prefix + (e,))
                 e += 1
 
-        for contacts in tuples((), None):
+        for contacts in tuples(()):
             twist = -ord_jac_on_stratum(weights, contacts)
             total = total + contact_stratum_measure(
-                stratum, contacts) * LaurentPoly.monomial(twist)
-    return MotiveSeries.from_poly(total, result_floor)
+                stratum, contacts) * MotiveSeries.monomial(twist)
+    return total.with_floor(result_floor)
 
 
 def germ_measure(data: ResolutionData, floor: int) -> MotiveSeries:
@@ -455,7 +452,7 @@ def image_measure(diagram: ResolutionDiagram, floor: int) -> MotiveSeries:
 
 def compare_germ_measures(a: MotiveSeries, b: MotiveSeries) -> str:
     """Order two germ measures computed at a common precision."""
-    fa, fb = _floor_of(a), _floor_of(b)
+    fa, fb = a.floor, b.floor
     if fa != NEG_INF and fb != NEG_INF and fa != fb:
         raise ValueError(
             f"floors {fa} and {fb} differ; recompute at a common floor")

@@ -12,8 +12,8 @@ import itertools
 from fractions import Fraction
 from operator import add
 
-from .grothendieck import (_add_terms, _mul_terms, _pow_terms, _power_text,
-                           _signed_sum)
+from .grothendieck import (_add_terms, _check_int, _mul_terms, _pow_terms,
+                           _power_text, _signed_sum)
 
 
 class ParseError(ValueError):
@@ -41,10 +41,7 @@ class MultiPoly:
         object.__setattr__(self, "variables", tuple(variables))
         clean = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(exps)
-            for e in exps:
-                if not isinstance(e, int) or isinstance(e, bool):
-                    raise TypeError(f"exponent {e!r} is not an int")
+            exps = tuple(_check_int(e, "exponent") for e in exps)
             if len(exps) != len(self.variables):
                 raise ArityMismatch(
                     f"exponent vector {exps} does not match "

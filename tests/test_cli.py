@@ -422,6 +422,15 @@ def test_bad_class_string_reports_field_path(run):
     assert "payload.resolution.strata[0].class" in err
 
 
+def test_floored_class_exits_2(run):
+    floored = {"ambient_dim": 1,
+               "strata": [{"name": "origin", "index_set": [0],
+                           "class": "1 + O(u^-3)", "p_mults": [1]}]}
+    code, out, err = run(problem("measure", {"resolution": floored}))
+    assert code == 2 and out == ""
+    assert "payload.resolution: stratum 'origin': class must be exact" in err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

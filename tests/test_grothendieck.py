@@ -403,6 +403,7 @@ def test_ring_laws(ring, data):
     (lambda: ONE + True, TypeError),
     (lambda: MotiveSeries({1: True}), TypeError),
     (lambda: MotiveSeries({1: 1}, -2.5), TypeError),
+    (lambda: MotiveSeries({1: 1}, True), TypeError),
     (lambda: MotiveSeries.from_poly(ONE, "-3"), TypeError),
     (lambda: MotiveSeries({1: 1}, -2).with_floor(0.5), TypeError),
     (lambda: MultiPoly(("x",), {(-1,): 1}), ValueError),
@@ -414,7 +415,7 @@ def test_ring_laws(ring, data):
     (lambda: MultiPoly(("x",), {(True,): 1}), TypeError),
 ], ids=["laurent-float-exponent", "laurent-bool-exponent",
         "laurent-float-coefficient", "laurent-plus-bool",
-        "series-bool-coefficient", "series-float-floor",
+        "series-bool-coefficient", "series-float-floor", "series-bool-floor",
         "from-poly-str-floor", "with-floor-float", "poly-negative-exponent",
         "poly-arity", "poly-bad-coefficient", "poly-bad-constant",
         "poly-float-exponent", "poly-str-exponent", "poly-bool-exponent"])
@@ -435,3 +436,44 @@ def test_series_floor_invariant():
     assert s.floor == -5
     with pytest.raises(ValueError):
         s.with_floor(-8)
+
+
+# ---------------------------------------------------------------------------
+# one ring type: an exact value is a series with floor NEG_INF
+
+def test_laurent_poly_is_the_exact_series():
+    assert LaurentPoly is MotiveSeries
+    p = LaurentPoly({1: 1, 0: -1})
+    assert p.is_exact() and p.floor == NEG_INF
+    assert parse_motive("u - 1") == p and parse_motive("u - 1").is_exact()
+    assert parse_motive("0") == ZERO and parse_motive("0").is_exact()
+    assert repr(p) == "MotiveSeries('u - 1')"
+
+
+def test_equal_values_hash_equal():
+    p = LaurentPoly({1: 1, 0: -1})
+    s = MotiveSeries.from_poly(p)
+    assert len({p, s}) == 1
+    assert s in {p: 0}
+    assert len({ONE, 1}) == 1 and len({ZERO, 0}) == 1
+    assert MotiveSeries({0: 3}) in {3}
+    assert len({p, p.with_floor(-3)}) == 2  # different floors differ
+
+
+def test_degree_and_leading_coefficient_need_an_exact_value():
+    p = parse_motive("-2*u^3 + u")
+    assert p.degree == 3 and p.leading_coefficient() == -2
+    assert ZERO.degree == NEG_INF
+    floored = parse_motive("-2*u^3 + u + O(u^-2)")
+    with pytest.raises(ValueError):
+        floored.degree
+    with pytest.raises(ValueError):
+        floored.leading_coefficient()
+
+
+def test_power_only_of_exact_values():
+    p = parse_motive("u - 1")
+    assert p ** 2 == parse_motive("u^2 - 2*u + 1")
+    assert (p ** 2).is_exact()
+    with pytest.raises(TypeError):
+        parse_motive("u - 1 + O(u^-2)") ** 2

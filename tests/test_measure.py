@@ -100,6 +100,37 @@ def test_stratum_validation():
         SNCStratum("s", (0, 1), LaurentPoly.one(), 1)  # |I| > d
     with pytest.raises(ValueError):
         SNCStratum("s", (0,), LaurentPoly.zero(), 1)  # empty stratum
+    with pytest.raises(ValueError):
+        SNCStratum("s", (0,), 1, 1)  # not a ring value
+    with pytest.raises(ValueError, match="class must be exact"):
+        SNCStratum("s", (0,), parse_motive("1 + O(u^-3)"), 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MultiplicityVector((1.5, 2)),
+    lambda: MultiplicityVector(("2",)),
+    lambda: MultiplicityVector((True,)),
+    lambda: SNCStratum("s", (0,), LaurentPoly.one(), 2.9),
+    lambda: SNCStratum("s", (0,), LaurentPoly.one(), True),
+    lambda: contact_stratum_measure(
+        SNCStratum("s", (0,), LaurentPoly.one(), 1), (1.0,)),
+    lambda: contact_stratum_measure(
+        SNCStratum("s", (0,), LaurentPoly.one(), 1), (True,)),
+    lambda: ord_jac_on_stratum([1.9], [2]),
+    lambda: ord_jac_on_stratum([1], [2.2]),
+    lambda: ord_jac_on_stratum([True], [2]),
+    lambda: germ_measure(ResolutionData(
+        (SNCStratum("s", (0,), LaurentPoly.one(), 1),), ((0.9,),)), -10),
+    lambda: motivic_integral(catalog.line_data(), [[0.5]], -10),
+    lambda: motivic_integral_by_enumeration(catalog.line_data(), [["1"]],
+                                            -10),
+], ids=["mult-float", "mult-str", "mult-bool", "dim-float", "dim-bool",
+        "contact-float", "contact-bool", "ord-mult-float",
+        "ord-contact-float", "ord-mult-bool", "germ-mult-float",
+        "alpha-float", "alpha-str"])
+def test_measure_layer_rejects_non_ints(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_resolution_data_validation():
