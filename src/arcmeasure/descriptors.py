@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grothendieck import MotiveSeries, parse_motive, render, virtual_dim
+from .grothendieck import (MotiveSeries, _check_int, parse_motive, render,
+                           virtual_dim)
 
 
 class SingularAmbient(ValueError):
@@ -36,9 +37,9 @@ class StableSetDescriptor:
     ambient_dim: int
 
     def __post_init__(self):
-        if self.level < 0:
+        if _check_int(self.level, "level") < 0:
             raise ValueError("level must be nonnegative")
-        if self.ambient_dim < 1:
+        if _check_int(self.ambient_dim, "ambient dimension") < 1:
             raise ValueError("ambient dimension must be positive")
 
     def to_json(self) -> dict:
@@ -51,8 +52,8 @@ class StableSetDescriptor:
         cls_poly = parse_motive(data["class"])
         if not cls_poly.is_exact():
             raise ValueError("descriptor class must be an exact polynomial")
-        return cls(level=int(data["level"]), class_at_level=cls_poly,
-                   ambient_dim=int(data["dim"]))
+        return cls(level=data["level"], class_at_level=cls_poly,
+                   ambient_dim=data["dim"])
 
 
 def measure_stable(a: StableSetDescriptor) -> MotiveSeries:

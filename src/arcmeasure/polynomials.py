@@ -187,10 +187,12 @@ def _poly(variables, terms):
 
 def render_poly(p: MultiPoly) -> str:
     """Deterministic text form with explicit ``*`` between factors."""
+    # an integral coefficient goes in as an int, which prints faster
     return _signed_sum(
-        [(coeff, "*".join([_power_text(name, k)
-                           for name, k in zip(p.variables, exps) if k]))
-         for exps, coeff in p.sorted_terms()]) or "0"
+        [(c.numerator if c.denominator == 1 else c,
+          "*".join([_power_text(name, k)
+                    for name, k in zip(p.variables, exps) if k]))
+         for exps, c in p.sorted_terms()]) or "0"
 
 
 def parse_poly(text: str, variables) -> MultiPoly:

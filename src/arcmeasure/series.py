@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 
-from .grothendieck import _power_text, _signed_sum
-from .polynomials import ArityMismatch, MultiPoly, PolySystem, matrix_minors
+from .grothendieck import _add_terms, _mul_terms, _power_text, _signed_sum
+from .polynomials import (ArityMismatch, MultiPoly, PolySystem, _poly,
+                          matrix_minors)
 
 
 class IndeterminateAtCap(ArithmeticError):
@@ -94,8 +96,7 @@ class TruncSeries:
         if isinstance(other, (int, Fraction)):
             return TruncSeries([c * other for c in self.coeffs])
         self._check_cap(other)
-        out = _list_mul(self.coeffs, other.coeffs, self.cap, Fraction(0))
-        return TruncSeries(out)
+        return TruncSeries(_list_mul(self.coeffs, other.coeffs, self.cap))
 
     __rmul__ = __mul__
 
@@ -211,8 +212,8 @@ def min_series_order(orders) -> SeriesOrder:
 # ---------------------------------------------------------------------------
 # composition
 
-def _list_mul(a, b, cap, zero):
-    out = [zero] * (cap + 1)
+def _list_mul(a, b, cap):
+    out = [0] * (cap + 1)
     for i, ai in enumerate(a):
         if not ai:
             continue
@@ -224,32 +225,31 @@ def _list_mul(a, b, cap, zero):
     return out
 
 
-def _evaluate_at_lists(terms, comps, cap, zero):
-    """Value of a polynomial at component coefficient lists.
+def _evaluate(terms, comps, mul, plus, zero):
+    """Value of a polynomial at the ring elements ``comps``.
 
-    ``terms`` maps each exponent vector to its coefficient, already in
-    the ring of the ``comps`` entries, whose zero is ``zero``: Python
-    ints for :func:`compose`, :class:`MultiPoly` for
-    :func:`jet_equations`.  Powers of components are cached since sparse
-    polynomials reuse them heavily.
+    ``terms`` maps each exponent vector to its coefficient, already a
+    ring element; ``mul``, ``plus`` and ``zero`` are the ring's product,
+    sum and zero: int lists truncated at the cap for :func:`compose`,
+    packed term maps for :func:`jet_equations`.  Powers of components
+    are cached since sparse polynomials reuse them heavily.
     """
-    powers = [{1: list(c)} for c in comps]
+    powers = [{1: c} for c in comps]
 
     def power(j, k):
         cache = powers[j]
         if k not in cache:
             half = power(j, k // 2)
-            sq = _list_mul(half, half, cap, zero)
-            cache[k] = _list_mul(sq, comps[j], cap, zero) if k % 2 else sq
+            sq = mul(half, half)
+            cache[k] = mul(sq, comps[j]) if k % 2 else sq
         return cache[k]
 
-    acc = [zero] * (cap + 1)
-    for exps, coeff in terms.items():
-        term = [coeff] + [zero] * cap
+    acc = zero
+    for exps, term in terms.items():
         for j, k in enumerate(exps):
             if k:
-                term = _list_mul(term, power(j, k), cap, zero)
-        acc = [x + y for x, y in zip(acc, term)]
+                term = mul(term, power(j, k))
+        acc = plus(acc, term)
     return acc
 
 
@@ -277,9 +277,12 @@ def compose(f: MultiPoly, arc: ArcJet) -> TruncSeries:
             den *= d ** k
         dens[exps] = den
     common = lcm(*dens.values())
-    terms = {exps: c.numerator * (common // dens[exps])
+    cap = arc.cap
+    terms = {exps: [c.numerator * (common // dens[exps])] + [0] * cap
              for exps, c in f.terms.items()}
-    acc = _evaluate_at_lists(terms, comps, arc.cap, 0)
+    acc = _evaluate(terms, comps, lambda a, b: _list_mul(a, b, cap),
+                    lambda a, b: [x + y for x, y in zip(a, b)],
+                    [0] * (cap + 1))
     return TruncSeries([Fraction(a, common) for a in acc])
 
 
@@ -309,23 +312,60 @@ def jet_equations(system: PolySystem, level: int) -> PolySystem:
     Substituting ``x_j = sum_i a_{j,i} t^i`` into each generator and
     collecting powers of t up to ``t^level`` yields polynomials in the
     jet coefficients; identically zero ones are dropped.
+
+        >>> from arcmeasure.polynomials import parse_poly, render_poly
+        >>> cusp = parse_poly("y^2 - x^3", ("x", "y"))
+        >>> for g in jet_equations(PolySystem(cusp.variables, [cusp]), 2):
+        ...     print(render_poly(g))
+        -a_0^3 + b_0^2
+        -3*a_0^2*a_1 + 2*b_0*b_1
+        -3*a_0^2*a_2 - 3*a_0*a_1^2 + 2*b_0*b_2 + b_1^2
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
-    n_vars = len(system.variables)
-    jet_vars = jet_variable_names(n_vars, level)
-    zero = MultiPoly.zero(jet_vars)
-    comps = []
-    for j in range(n_vars):
-        comps.append([MultiPoly.variable(jet_vars, j * (level + 1) + i)
-                      for i in range(level + 1)])
+    jet_vars = jet_variable_names(len(system.variables), level)
     equations = []
     for g in system:
-        terms = {e: MultiPoly.constant(jet_vars, c)
-                 for e, c in g.terms.items()}
-        coeffs = _evaluate_at_lists(terms, comps, level, zero)
-        equations.extend(c for c in coeffs if c)
+        equations.extend(_jet_expansion(g, level, jet_vars))
     return PolySystem(jet_vars, equations)
+
+
+def _jet_expansion(g: MultiPoly, level: int, jet_vars):
+    """Nonzero coefficients of ``t^0 .. t^level`` in ``g(sum_i a_{j,i} t^i)``.
+
+    The expansion runs over ints: ``g`` is scaled by the lcm ``L`` of its
+    denominators and the result divided by ``L``.  A monomial
+    ``t^e * prod a^k`` is one int key: ``w`` bits per jet variable, with
+    ``2^w > deg g``, and ``e`` in the field above the last.  Every cached
+    power and every term has total jet degree at most ``deg g``, so no
+    field overflows and multiplying monomials adds their keys.  Keys are
+    stored negated, so the kernel's ``above`` cut drops every product
+    past ``t^level``.
+    """
+    n = level + 1
+    w = max(1, max(sum(e) for e in g.terms).bit_length())
+    shift = w * len(jet_vars)
+    big_l = lcm(*(c.denominator for c in g.terms.values()))
+    terms = {e: {0: c.numerator * (big_l // c.denominator)}
+             for e, c in g.terms.items()}
+    comps = [{-(i << shift | 1 << w * (j * n + i)): 1 for i in range(n)}
+             for j in range(len(g.variables))]
+    above = -(n << shift)
+    acc = _evaluate(terms, comps, lambda a, b: _mul_terms(a, b, add, above),
+                    _add_terms, {})
+    by_t = [{} for _ in range(n)]
+    mask, field = (1 << shift) - 1, (1 << w) - 1
+    for key, c in acc.items():
+        key = -key
+        rest = key & mask
+        exps = [0] * len(jet_vars)
+        while rest:  # at most deg g nonzero fields
+            at = ((rest & -rest).bit_length() - 1) // w * w
+            k = rest >> at & field
+            exps[at // w] = k
+            rest ^= k << at
+        by_t[key >> shift][tuple(exps)] = Fraction(c, big_l)
+    return [_poly(jet_vars, t) for t in by_t if t]
 
 
 def satisfies_jet_equations(equations: PolySystem, jet_values) -> bool:

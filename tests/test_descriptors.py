@@ -83,6 +83,19 @@ def test_descriptor_json_rejects_series_class():
             {"level": 1, "class": "u + O(u^-3)", "dim": 1})
 
 
+@pytest.mark.parametrize("bad", [1.9, 1.0, True, "1", None])
+@pytest.mark.parametrize("field", ["level", "dim"])
+def test_descriptor_rejects_non_int_level_and_dim(field, bad):
+    # these were truncated or accepted: level 1.9 built level 1
+    data = {"level": 1, "class": "u", "dim": 1, field: bad}
+    with pytest.raises(TypeError):
+        StableSetDescriptor.from_json(data)
+    with pytest.raises(TypeError):
+        StableSetDescriptor(data["level"], mono(1), data["dim"])
+    with pytest.raises(TypeError):
+        CylinderDescriptor(data["level"], mono(1), data["dim"]).as_stable()
+
+
 # ---------------------------------------------------------------------------
 # cylinders
 

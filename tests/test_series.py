@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcmeasure import (ArcJet, ArityMismatch, IndeterminateAtCap,
-                        PolySystem, SeriesOrder, TruncSeries, arc_level,
+                        MultiPoly, PolySystem, SeriesOrder, TruncSeries, arc_level,
                         compose, jacobian_matrix_order, jet_equations,
                         jet_variable_names, matrix_entry_orders,
                         min_series_order, ord_jac_along, parse_poly,
@@ -95,7 +95,6 @@ def poly_and_two_arcs(draw):
     cap = draw(st.integers(1, 5))
     rows = [[Fraction(draw(st.integers(-3, 3))) for _ in range(cap + 1)]
             for _ in range(2)]
-    from arcmeasure import MultiPoly
     return MultiPoly(XY, terms), jet(rows, cap)
 
 
@@ -137,7 +136,6 @@ def poly_and_rational_arc(draw):
     row = st.lists(RATIONALS, min_size=cap + 1, max_size=cap + 1)
     rows = [draw(st.one_of(st.just([Fraction(0)] * (cap + 1)), row))
             for _ in variables]
-    from arcmeasure import MultiPoly
     return MultiPoly(variables, terms), rows, cap
 
 
@@ -182,13 +180,100 @@ def test_jet_variable_names_past_alphabet():
     assert names[-1] == "v26_0"
 
 
-def test_satisfies_matches_composition():
+def reference_jet_equations(system, level):
+    """The MultiPoly-list expansion: each power of a component is
+    repeated truncated products of lists of jet polynomials."""
+    jet_vars = jet_variable_names(len(system.variables), level)
+    n = level + 1
+    zero = MultiPoly.zero(jet_vars)
+    comps = [[MultiPoly.variable(jet_vars, j * n + i) for i in range(n)]
+             for j in range(len(system.variables))]
+    equations = []
+    for g in system:
+        acc = [zero] * n
+        for exps, c in g.terms.items():
+            term = [MultiPoly.constant(jet_vars, c)] + [zero] * level
+            for comp, k in zip(comps, exps):
+                for _ in range(k):
+                    term = [sum((term[i] * comp[d - i] for i in range(d + 1)),
+                                zero) for d in range(n)]
+            acc = [a + b for a, b in zip(acc, term)]
+        equations.extend(c for c in acc if c)
+    return PolySystem(jet_vars, equations)
+
+
+def assert_matches_reference(system, level):
+    out = jet_equations(system, level)
+    assert out.generators == reference_jet_equations(system, level).generators
+    assert all(type(c) is Fraction for g in out for c in g.terms.values())
+    return out
+
+
+@st.composite
+def exponent(draw, n, degree):
+    """An exponent vector of total degree exactly ``degree``."""
+    cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=n - 1,
+                                max_size=n - 1)))
+    bounds = [0, *cuts, degree]
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@st.composite
+def jet_systems(draw, max_level=10):
+    """1-3 variables, rational generators of degree 0 (constants) or at
+    the edges of the packed field widths, and a level."""
+    n = draw(st.integers(1, 3))
+    variables = ("x", "y", "z")[:n]
+    generators = []
+    for _ in range(draw(st.integers(1, 2))):
+        degree = draw(st.sampled_from([0, 1, 3, 4, 7, 8]))
+        terms = {draw(exponent(n, degree)): draw(RATIONALS.filter(bool))}
+        for _ in range(draw(st.integers(0, 3))):
+            e = draw(exponent(n, draw(st.integers(0, degree))))
+            terms[e] = draw(RATIONALS)
+        generators.append(MultiPoly(variables, terms))
+    return PolySystem(variables, generators), draw(st.integers(0, max_level))
+
+
+@given(jet_systems())
+@settings(max_examples=150, deadline=None)
+def test_jet_equations_match_reference(case):
+    assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("degree", [1, 3, 4, 7, 8])
+def test_jet_equations_at_field_width_edges(degree):
+    # every monomial up to the degree, so the top field fills up
+    terms = {(i, j): Fraction(i + 1, j + 2) for i in range(degree + 1)
+             for j in range(degree + 1 - i)}
+    assert_matches_reference(PolySystem(XY, [MultiPoly(XY, terms)]), 4)
+
+
+def test_jet_equations_past_the_alphabet():
+    variables = tuple(f"x{j}" for j in range(28))
+    system = PolySystem(variables, [
+        P("x0*x26 - 1/2*x27^3 + x13^2", variables), P("3/4", variables),
+        P("x26^4 - 2/3*x27", variables)])
+    out = assert_matches_reference(system, 2)
+    assert out.variables[-6:] == ("v26_0", "v26_1", "v26_2",
+                                  "v27_0", "v27_1", "v27_2")
+
+
+def assert_membership_matches_composition(system, rows, level):
     """Membership in the jet variety == vanishing of the composition."""
+    values = dict(zip(jet_variable_names(len(rows), level),
+                      (c for row in rows for c in row)))
+    algebraic = satisfies_jet_equations(jet_equations(system, level), values)
+    arc = jet(rows, level)
+    analytic = all(not compose(g, arc) for g in system)
+    assert algebraic == analytic
+    return algebraic
+
+
+def test_satisfies_matches_composition():
     rng = random.Random(11)
-    f = P("y^2 - x^3")
-    system = PolySystem(XY, [f])
+    system = PolySystem(XY, [P("y^2 - x^3")])
     n = 3
-    eqs = jet_equations(system, n)
     hits = 0
     for trial in range(60):
         if trial % 3 == 0:
@@ -198,16 +283,20 @@ def test_satisfies_matches_composition():
         else:
             rows = [[Fraction(rng.randint(-2, 2)) for _ in range(n + 1)]
                     for _ in range(2)]
-        arc = jet(rows, n)
-        values = {}
-        for j, prefix in enumerate(("a", "b")):
-            for i in range(n + 1):
-                values[f"{prefix}_{i}"] = rows[j][i]
-        algebraic = satisfies_jet_equations(eqs, values)
-        analytic = all(c == 0 for c in compose(f, arc).coeffs)
-        assert algebraic == analytic
-        hits += algebraic
+        hits += assert_membership_matches_composition(system, rows, n)
     assert hits >= 20  # the constructed family keeps the test two-sided
+
+
+@given(jet_systems(max_level=6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_satisfies_matches_composition_random(case, data):
+    system, level = case
+    small = st.integers(-2, 2).map(Fraction)
+    rows = [data.draw(st.one_of(
+        st.just([Fraction(0)] * (level + 1)),
+        st.lists(small, min_size=level + 1, max_size=level + 1)))
+        for _ in system.variables]
+    assert_membership_matches_composition(system, rows, level)
 
 
 # ---------------------------------------------------------------------------
