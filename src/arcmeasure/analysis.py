@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grothendieck import NEG_INF, Order, leq_order, render
+from .grothendieck import Order, leq_order, render
 from .measure import ResolutionDiagram, image_measure, ord_jac_on_stratum
 from .series import matrix_entry_orders
 
-# default precision of internal certificates when both inputs are exact
+# where the image measure certificate's printed tail stops by default
 DEFAULT_REPORT_FLOOR = -16
 
 
@@ -152,10 +152,10 @@ def inverse_mapping_report(diagram: ResolutionDiagram, mu_x, mu_y,
     come out right: the image measure computed through the target leg
     must reproduce the target measure, and the Jacobian must also be
     bounded above.  Any failure yields Inconclusive and names the
-    failing item; comparisons that cannot be settled at the available
-    precision raise :class:`PrecisionExhausted` instead of concluding.
-    The image measure is computed at the higher floor of the two
-    measures, or at ``floor`` when both are exact.
+    failing item; a comparison that a floored literal measure cannot
+    settle raises :class:`PrecisionExhausted` instead of concluding.
+    The image measure keeps its exact closed form, so ``floor`` only
+    sets where its printed certificate stops.
     """
     hypotheses = []
     certificates = {"mu_x": render(mu_x), "mu_y": render(mu_y)}
@@ -171,8 +171,7 @@ def inverse_mapping_report(diagram: ResolutionDiagram, mu_x, mu_y,
         return TheoremReport(Conclusion.INCONCLUSIVE, tuple(hypotheses),
                              certificates)
 
-    given = max(mu_x.floor, mu_y.floor)
-    image = image_measure(diagram, floor if given == NEG_INF else given)
+    image = image_measure(diagram, floor)
     certificates["image_measure"] = render(image)
     image_order = leq_order(image, mu_y)
     ok = image_order == Order.EQUAL

@@ -4,7 +4,8 @@ Problems arrive as JSON files with a ``schema`` version, a ``kind`` and
 a payload; results go to stdout in a canonical text or JSON form that
 is byte-stable across runs.  Exit codes: 0 for a conclusive result, 2
 for malformed input, 3 for a divergent integral, 4 for an inconclusive
-report, 5 when the requested precision cannot settle a comparison.
+report, 5 when a literal measure's floor cannot settle a comparison;
+``--floor`` only sets where printed tails stop.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from .analysis import (Conclusion, inverse_mapping_report,
                        measure_comparison_report)
-from .grothendieck import PrecisionExhausted, render, virtual_dim
+from .grothendieck import NEG_INF, PrecisionExhausted, render, virtual_dim
 from .measure import (DivergentExponent, ResolutionData, ResolutionDiagram,
                       SchemaError, _get, _int_list, _parse_motive_field,
                       compare_germ_measures, germ_measure, motivic_integral)
@@ -35,33 +36,17 @@ KINDS = ("jets", "compose", "hx", "measure", "integrate", "compare",
 class LiteralLimit(PrecisionExhausted):
     """Precision exhausted at the floor of an operand given as a literal.
 
-    Recomputing at a deeper ``--floor`` cannot help: the literal itself
-    is known only above ``floor``.
+    ``operands`` lists ``(path, value)`` per measure operand.  Measures
+    computed from resolutions compare exactly, so the literal with the
+    highest floor is the limit, and a deeper ``--floor`` cannot help.
     """
 
-    def __init__(self, exc, path, floor):
+    def __init__(self, exc, operands):
         super().__init__(str(exc))
-        self.path = path
-        self.floor = floor
-
-
-def _literal_limit(exc, operands):
-    """Turn ``exc`` into a :class:`LiteralLimit` if a literal sets the floor.
-
-    ``operands`` lists ``(path, spec, value)`` for each measure operand.
-    The comparison is limited by the highest floor among them; when a
-    literal string operand has that floor, it is named.  Otherwise a
-    resolution-computed operand is the limit and ``exc`` is returned.
-    """
-    floors = [(value.floor, path, isinstance(spec, str))
-              for path, spec, value in operands
-              if not value.is_exact()]
-    if floors:
-        top = max(f for f, _, _ in floors)
-        for f, path, literal in floors:
-            if f == top and literal:
-                return LiteralLimit(exc, path, f)
-    return exc
+        self.path, value = max(
+            (op for op in operands if op[1].closed_form is None),
+            key=lambda op: op[1].floor)
+        self.floor = value.floor
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -108,8 +93,11 @@ def _resolution(obj, path, key="resolution", cls=ResolutionData):
                          f"{path}.{key}")
 
 
-def _measure_spec(spec, path, floor):
-    """A germ measure: a canonical string or a resolution object."""
+def _measure_spec(payload, key, floor):
+    """The germ measure ``payload[key]``: a canonical string or a
+    resolution object."""
+    spec = _get(payload, "payload", key, object, "a spec")
+    path = f"payload.{key}"
     if isinstance(spec, str):
         return _parse_motive_field(spec, path)
     if isinstance(spec, dict) and "resolution" in spec:
@@ -184,12 +172,8 @@ def _run_compose(payload, options):
 
 def _series_result(series):
     text = render(series)
-    out = {"measure": text}
-    try:
-        out["dim"] = int(virtual_dim(series))
-    except PrecisionExhausted:
-        out["dim"] = None
-    return 0, text, out
+    dim = virtual_dim(series)
+    return 0, text, {"measure": text, "dim": None if dim == NEG_INF else dim}
 
 
 def _run_measure(payload, options):
@@ -214,29 +198,21 @@ def _run_integrate(payload, options):
 
 
 def _run_compare(payload, options):
-    left_spec = _get(payload, "payload", "left", object, "a spec")
-    right_spec = _get(payload, "payload", "right", object, "a spec")
-    left = _measure_spec(left_spec, "payload.left", options["floor"])
-    right = _measure_spec(right_spec, "payload.right", options["floor"])
+    left = _measure_spec(payload, "left", options["floor"])
+    right = _measure_spec(payload, "right", options["floor"])
     try:
         order = compare_germ_measures(left, right)
-    except ValueError as exc:
-        # mismatched floors; PrecisionExhausted is not a ValueError and
-        # propagates to the exit-code mapping instead
-        raise SchemaError("payload", str(exc))
     except PrecisionExhausted as exc:
-        raise _literal_limit(exc, [("payload.left", left_spec, left),
-                                   ("payload.right", right_spec, right)])
+        raise LiteralLimit(exc, [("payload.left", left),
+                                 ("payload.right", right)])
     return 0, order, {"order": order,
                       "left": render(left), "right": render(right)}
 
 
 def _run_check_map(payload, options):
     diagram = _resolution(payload, "payload", "diagram", ResolutionDiagram)
-    mu_x_spec = _get(payload, "payload", "mu_x", object, "a spec")
-    mu_y_spec = _get(payload, "payload", "mu_y", object, "a spec")
-    mu_x = _measure_spec(mu_x_spec, "payload.mu_x", options["floor"])
-    mu_y = _measure_spec(mu_y_spec, "payload.mu_y", options["floor"])
+    mu_x = _measure_spec(payload, "mu_x", options["floor"])
+    mu_y = _measure_spec(payload, "mu_y", options["floor"])
     try:
         inverse = inverse_mapping_report(diagram, mu_x, mu_y,
                                          floor=options["floor"])
@@ -247,8 +223,8 @@ def _run_check_map(payload, options):
             reports["measure_comparison"] = comparison.to_json()
             conclusion = comparison.conclusion
     except PrecisionExhausted as exc:
-        raise _literal_limit(exc, [("payload.mu_x", mu_x_spec, mu_x),
-                                   ("payload.mu_y", mu_y_spec, mu_y)])
+        raise LiteralLimit(exc, [("payload.mu_x", mu_x),
+                                 ("payload.mu_y", mu_y)])
     obj = {"conclusion": conclusion, "reports": reports}
     lines = [f"conclusion: {conclusion}"]
     for name, report in sorted(reports.items()):
@@ -321,7 +297,6 @@ def main(argv=None) -> int:
         print("error: a problem file is required", file=sys.stderr)
         return 2
 
-    floor_hint = args.floor if args.floor is not None else DEFAULT_FLOOR
     try:
         kind, payload, options = _load_problem(args.problem)
         effective = {
@@ -330,7 +305,6 @@ def main(argv=None) -> int:
             "cap": args.cap if args.cap is not None
             else options.get("cap", DEFAULT_CAP),
         }
-        floor_hint = effective["floor"]
         if effective["cap"] < 0:
             raise SchemaError("options.cap", "must be nonnegative")
         code, text, obj = _HANDLERS[kind](payload, effective)
@@ -343,15 +317,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PrecisionExhausted as exc:
+    except LiteralLimit as exc:
         print(f"error: precision exhausted: {exc}", file=sys.stderr)
-        if isinstance(exc, LiteralLimit):
-            print(f"hint: {exc.path} is a literal known only above "
-                  f"O(u^{exc.floor}); a deeper --floor cannot help, give "
-                  f"that operand more terms", file=sys.stderr)
-        else:
-            print(f"hint: retry with a deeper floor, e.g. "
-                  f"--floor {2 * floor_hint}", file=sys.stderr)
+        print(f"hint: {exc.path} is a literal known only above "
+              f"O(u^{exc.floor}); a deeper --floor cannot help, give "
+              f"that operand more terms", file=sys.stderr)
         return 5
 
     if args.format == "json":

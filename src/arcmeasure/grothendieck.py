@@ -20,6 +20,7 @@ zero and as the floor of exact series.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import add
 
 NEG_INF = float("-inf")
@@ -112,6 +113,11 @@ class MotiveSeries:
     represented element never exceeds ``max(top, floor)``.  Instances
     are treated as immutable.
 
+    ``closed_form`` is ``(N, ks)`` on a series expanded from the exact
+    ``N / prod(1 - u^-k for k in ks)``, else ``None``.  Operators and
+    :meth:`with_floor` drop it; ``==``, ``hash`` and :func:`render`
+    ignore it.
+
     Example::
 
         >>> p = MotiveSeries({1: 1, 0: -1})   # u - 1
@@ -124,13 +130,14 @@ class MotiveSeries:
         MotiveSeries('u - 1 + O(u^-2)')
     """
 
-    __slots__ = ("terms", "floor")
+    __slots__ = ("terms", "floor", "closed_form")
 
     def __init__(self, exponent_map=None, floor=NEG_INF):
         _check_floor(floor)
         terms = _as_terms(exponent_map or {})
         object.__setattr__(self, "terms", _above(terms, floor))
         object.__setattr__(self, "floor", floor)
+        object.__setattr__(self, "closed_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MotiveSeries is immutable")
@@ -258,12 +265,13 @@ def _above(terms, floor):
     return {e: c for e, c in terms.items() if e > floor}
 
 
-def _series(terms, floor):
+def _series(terms, floor, closed_form=None):
     # a MotiveSeries over trusted terms: int keys above the floor (an int
     # or NEG_INF), nonzero int values
     s = object.__new__(MotiveSeries)
     object.__setattr__(s, "terms", terms)
     object.__setattr__(s, "floor", floor)
+    object.__setattr__(s, "closed_form", closed_form)
     return s
 
 
@@ -283,6 +291,60 @@ def _coerce_series(x):
     return None
 
 
+# ---------------------------------------------------------------------------
+# closed forms: (N, ks) is N / prod(1 - u^-k for k in ks).  Each such
+# denominator is 1 plus lower terms, so the quotient has the degree and
+# the leading coefficient of N.
+
+def _closed_form(a):
+    # a's closed form; a series without one is its known terms over 1
+    return a.closed_form or (a.terms, ())
+
+
+def _times_denominator(n, ks):
+    """``n * prod(1 - u^-k for k in ks)`` for a term map ``n``."""
+    for k in ks:
+        n = _add_terms(n, {e - k: c for e, c in n.items()}, -1)
+    return n
+
+
+def _expand_rational(parts, floor):
+    """The sum of the closed forms ``parts``, expanded down to ``floor``.
+
+    The parts are summed over one denominator, which holds each k at its
+    highest multiplicity in any part.  The numerator's dense
+    coefficients from its degree down to ``floor + 1`` are then divided
+    by each ``1 - u^-k``: the quotient's coefficients satisfy
+    ``c[j] += c[j-k]`` (index j counts down from the top), a running sum
+    along every residue class mod k.  Division only carries coefficients
+    downward, so those above the floor are exact as computed.  With no
+    k at all the sum is exact.
+    """
+    ks = []
+    for _, part_ks in parts:
+        for k in part_ks:
+            if part_ks.count(k) > ks.count(k):
+                ks.append(k)
+    n = {}
+    for part_n, part_ks in parts:
+        missing = list(ks)
+        for k in part_ks:
+            missing.remove(k)
+        n = _add_terms(_times_denominator(part_n, missing), n)
+    if not ks:
+        return _series(n, NEG_INF)
+    top = max(n, default=floor)
+    coeffs = [0] * max(top - floor, 0)
+    for e, c in n.items():
+        if e > floor:
+            coeffs[top - e] = c
+    for k in ks:
+        for start in range(min(k, len(coeffs))):
+            coeffs[start::k] = accumulate(coeffs[start::k])
+    return _series({top - j: c for j, c in enumerate(coeffs) if c}, floor,
+                   (n, tuple(ks)))
+
+
 U = MotiveSeries.monomial(1)
 ONE = MotiveSeries.one()
 ZERO = MotiveSeries.zero()
@@ -291,15 +353,17 @@ ZERO = MotiveSeries.zero()
 def virtual_dim(a):
     """Degree of the virtual Poincare polynomial; the virtual dimension.
 
-    Returns an int, or ``NEG_INF`` for (provably) zero.  For a series
-    that vanishes down to a finite floor the dimension is undecidable
-    and :class:`PrecisionExhausted` is raised.
+    Returns an int, or ``NEG_INF`` for (provably) zero.  A closed form
+    has the degree of its numerator.  For any other series that vanishes
+    down to a finite floor the dimension is undecidable and
+    :class:`PrecisionExhausted` is raised.
     """
     if not isinstance(a, MotiveSeries):
         raise TypeError(f"expected MotiveSeries, got {type(a)!r}")
-    if a.terms:
-        return max(a.terms)
-    if a.is_exact():
+    n, _ = _closed_form(a)
+    if n:
+        return max(n)
+    if a.is_exact() or a.closed_form:
         return NEG_INF
     raise PrecisionExhausted(
         f"series vanishes above floor {a.floor}; dimension unknown")
@@ -317,21 +381,28 @@ def leq_order(a, b) -> str:
 
     Returns ``Order.LESS`` when that coefficient is positive (so ``a``
     strictly precedes ``b``), ``Order.EQUAL`` when the difference is
-    provably zero, ``Order.GREATER`` otherwise.  A difference that
-    vanishes down to a finite floor without being provably zero raises
-    :class:`PrecisionExhausted` rather than returning a guess.
+    provably zero, ``Order.GREATER`` otherwise.  The sign is read off
+    the numerator of ``b - a`` over the product of the operands'
+    closed-form denominators.  That numerator is exact above the highest
+    floor of an operand without a closed form; if it vanishes above
+    that floor, :class:`PrecisionExhausted` is raised.  No work grows
+    with a floor.
     """
     sa, sb = _coerce_series(a), _coerce_series(b)
     if sa is None or sb is None:
         raise TypeError("leq_order expects ring elements")
-    diff = sb - sa
-    if diff.terms:
-        lead = diff.terms[max(diff.terms)]
-        return Order.LESS if lead > 0 else Order.GREATER
-    if diff.is_exact():
+    (na, ka), (nb, kb) = _closed_form(sa), _closed_form(sb)
+    diff = _add_terms(_times_denominator(nb, ka),
+                      _times_denominator(na, kb), -1)
+    floor = max((s.floor for s in (sa, sb) if s.closed_form is None),
+                default=NEG_INF)
+    top = max(diff, default=NEG_INF)
+    if top > floor:
+        return Order.LESS if diff[top] > 0 else Order.GREATER
+    if floor == NEG_INF:
         return Order.EQUAL
     raise PrecisionExhausted(
-        f"difference vanishes above floor {diff.floor} "
+        f"difference vanishes above floor {floor} "
         "without being provably zero")
 
 

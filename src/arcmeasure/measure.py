@@ -11,8 +11,10 @@ Summing the contributions over all contact vectors stratum by stratum
 gives a rational function of ``u``: with ``k_i = 1 + a_i + alpha_i``,
 a stratum contributes ``[S] u^-d prod_i (u-1) u^-k_i / (1 - u^-k_i)``
 (the rationality of motivic measures, Denef-Loeser 1999).
-:func:`motivic_integral` expands that closed form down to the floor,
-one pass of the recurrence ``c[j] += c[j-k]`` per denominator factor.
+:func:`motivic_integral` sums the strata over one common denominator
+and expands that sum once down to the floor, one pass of the recurrence
+``c[j] += c[j-k]`` per denominator factor.  The result keeps the exact
+rational function, so two resolutions of one germ compare ``Equal``.
 The direct enumeration over contact tuples is kept alongside as
 :func:`motivic_integral_by_enumeration` and the two are held equal in
 the test suite, so the algebraic shortcut never drifts from the
@@ -22,10 +24,9 @@ definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
-from .grothendieck import (NEG_INF, MotiveSeries, RingParseError, _check_int,
-                           _series, leq_order, parse_motive, render)
+from .grothendieck import (MotiveSeries, RingParseError, _check_int,
+                           _expand_rational, leq_order, parse_motive, render)
 
 
 class BadContact(ValueError):
@@ -338,29 +339,6 @@ def _contact_exponents(stratum, mults, alpha):
     return ks
 
 
-def _stratum_closed_form(stratum, ks, floor: int) -> MotiveSeries:
-    # The stratum contributes the rational function
-    #     [S] u^-d  prod_i (u-1) u^-k_i / (1 - u^-k_i).
-    # Expand the polynomial prefactor densely from its degree down to
-    # floor + 1, then divide by each 1 - u^-k: the quotient's
-    # coefficients satisfy c[j] += c[j-k] (index j counts down from the
-    # top), a running sum along every residue class mod k.  Division
-    # only carries coefficients downward, so those above the floor are
-    # exact as computed.
-    prefactor = contact_stratum_measure(stratum, ks)
-    if not ks:
-        return prefactor
-    top = prefactor.degree
-    coeffs = [0] * max(top - floor, 0)
-    for e, c in prefactor.terms.items():
-        if e > floor:
-            coeffs[top - e] = c
-    for k in ks:
-        for start in range(min(k, len(coeffs))):
-            coeffs[start::k] = accumulate(coeffs[start::k])
-    return _series({top - j: c for j, c in enumerate(coeffs) if c}, floor)
-
-
 def motivic_integral(data: ResolutionData, alpha_mults, floor: int
                      ) -> MotiveSeries:
     """Integral of ``u^-alpha`` over the arcs seen through a resolution.
@@ -368,17 +346,17 @@ def motivic_integral(data: ResolutionData, alpha_mults, floor: int
     ``alpha_mults`` gives, stratum by stratum, the monomial exponents of
     the integrand along the divisor components; ``None`` means alpha = 0
     everywhere, which is the plain measure.  The result is exact above
-    ``floor``.  Entries may be negative as long as every combined
-    exponent ``1 + a_i + alpha_i`` stays positive; otherwise the contact
-    series diverges and :class:`DivergentExponent` is raised.
+    ``floor`` and keeps its closed form.  Entries may be negative as
+    long as every combined exponent ``1 + a_i + alpha_i`` stays
+    positive; otherwise the contact series diverges and
+    :class:`DivergentExponent` is raised.
     """
-    total = None
+    parts = []
     for stratum, mults, alpha in zip(data.strata, data.jac_mults,
                                      _alpha_rows(data, alpha_mults)):
         ks = _contact_exponents(stratum, mults, alpha)
-        part = _stratum_closed_form(stratum, ks, floor)
-        total = part if total is None else total + part
-    return total
+        parts.append((contact_stratum_measure(stratum, ks).terms, ks))
+    return _expand_rational(parts, floor)
 
 
 def motivic_integral_by_enumeration(data: ResolutionData, alpha_mults,
@@ -451,9 +429,5 @@ def image_measure(diagram: ResolutionDiagram, floor: int) -> MotiveSeries:
 
 
 def compare_germ_measures(a: MotiveSeries, b: MotiveSeries) -> str:
-    """Order two germ measures computed at a common precision."""
-    fa, fb = a.floor, b.floor
-    if fa != NEG_INF and fb != NEG_INF and fa != fb:
-        raise ValueError(
-            f"floors {fa} and {fb} differ; recompute at a common floor")
+    """Order two germ measures; computed ones compare exactly."""
     return leq_order(a, b)

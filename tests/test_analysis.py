@@ -187,12 +187,13 @@ def test_image_certificate_can_fail():
     assert "image_measure" in report.certificates
 
 
-def test_equal_finite_floor_measures_exhaust():
+def test_equal_finite_floor_measures_are_inverse_arc_analytic():
+    # computed measures keep their closed forms, so Equal is decided
     diag = catalog.identity_diagram(1)
     mu_a = germ_measure(catalog.line_data(), -8)
     mu_b = germ_measure(catalog.line_data(), -8)
-    with pytest.raises(PrecisionExhausted):
-        inverse_mapping_report(diag, mu_a, mu_b)
+    report = inverse_mapping_report(diag, mu_a, mu_b)
+    assert report.conclusion == Conclusion.INVERSE_ARC_ANALYTIC
 
 
 # ---------------------------------------------------------------------------

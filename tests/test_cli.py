@@ -206,6 +206,37 @@ def test_measure_blowup_plane(run):
     assert out == "u^-2 + O(u^-40)\n"
 
 
+ZERO_RES = {"ambient_dim": 1,
+            "strata": [{"name": "a", "index_set": [], "class": "1",
+                        "p_mults": []},
+                       {"name": "b", "index_set": [], "class": "-1",
+                        "p_mults": []}]}
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("measure", {"resolution": ZERO_RES}),
+    ("integrate", {"resolution": ZERO_RES, "alpha": [[], []]}),
+])
+def test_strata_cancelling_to_zero_measure(run, kind, payload):
+    assert run(problem(kind, payload)) == (0, "0\n", "")
+    code, out, err = run(problem(kind, payload), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"schema": 1, "kind": kind,
+                               "measure": "0", "dim": None}
+
+
+def test_measure_dimension_below_the_floor_is_decided(run):
+    # u^-30 (u - 1) u^-1 / (1 - u^-30) has degree -30, below the floor
+    res = {"ambient_dim": 1,
+           "strata": [{"name": "o", "index_set": [0], "class": "1",
+                       "p_mults": [29]}]}
+    code, out, _ = run(problem("measure", {"resolution": res}),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["measure"] == "O(u^-16)"
+    assert json.loads(out)["dim"] == -30
+
+
 def test_measure_rejects_enumeration_override(run):
     code, out, err = run(problem("measure", {"resolution": CUSP_RES},
                                  floor=-16, e_max_override=2))
@@ -259,15 +290,12 @@ def test_compare_literal_measure_strings(run):
     assert out == "Less\n"
 
 
-def test_compare_equal_floored_measures_exit_5_with_hint(run):
+def test_compare_equal_floored_measures_exit_0_equal(run):
     code, out, err = run(problem("compare",
                                  {"left": {"resolution": CUSP_RES},
                                   "right": {"resolution": CUSP_RES}},
                                  floor=-8))
-    assert code == 5
-    assert out == ""
-    assert "precision exhausted" in err
-    assert "--floor -16" in err
+    assert (code, out, err) == (0, "Equal\n", "")
 
 
 def test_compare_literal_floor_names_operand_in_hint(run):
@@ -305,7 +333,8 @@ def test_compare_rejects_term_below_literal_floor(run):
 # check-map
 
 def test_check_map_exact_measures_use_the_floor_flag(run):
-    # the image measure starts at u^-20, so only a floor below -20 sees it
+    # the image measure starts at u^-20, below the default floor; its
+    # closed form decides the verdict at either floor
     diag = {"ambient_dim": 1,
             "strata": [{"name": "s", "index_set": [0], "class": "1",
                         "p_mults": [19], "q_mults": [19]}]}
@@ -315,9 +344,35 @@ def test_check_map_exact_measures_use_the_floor_flag(run):
     assert out.splitlines()[0] == "conclusion: MeasureInequality"
     assert ("  image_measure_matches_target: fail "
             "(leq_order returned Greater)") in out.splitlines()
-    code, out, err = run(doc)
-    assert (code, out) == (5, "")
-    assert "floor -16" in err
+    # the default floor -16 prints a shorter image tail, same verdict
+    assert run(doc) == (code, out, "")
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("compare", {"left": {"resolution": CUSP_RES},
+                 "right": {"resolution": CUSP_RES}}),
+    ("compare", {"left": {"resolution": BLOWUP2_RES}, "right": "u^-2"}),
+    ("compare", {"left": {"resolution": CUSP_RES},
+                 "right": {"resolution": LINE_RES}}),
+    ("check-map", {"diagram": {"ambient_dim": 2,
+                               "strata": [{"name": "E", "index_set": [0],
+                                           "class": "u + 1",
+                                           "p_mults": [1], "q_mults": [1]}]},
+                   "mu_x": "u^-2", "mu_y": "u^-2"}),
+    ("check-map", {"diagram": CUSP_TO_LINE_DIAG,
+                   "mu_x": {"resolution": CUSP_RES},
+                   "mu_y": {"resolution": LINE_RES}}),
+])
+def test_floor_changes_only_printed_tails(run, kind, payload):
+    doc = problem(kind, payload)
+    # the text form holds the verdict and no series
+    shallow = run(doc, "--floor", "-3")
+    assert shallow == run(doc, "--floor", "-40")
+    assert shallow[0] in (0, 4) and shallow[2] == ""
+    shallow_json = run(doc, "--floor", "-3", "--format", "json")
+    deep_json = run(doc, "--floor", "-40", "--format", "json")
+    assert shallow_json[0] == deep_json[0] == shallow[0]
+    assert "O(u^-3)" in shallow_json[1] and "O(u^-40)" in deep_json[1]
 
 
 def test_check_map_identity_is_inverse_arc_analytic(run):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcmeasure import (BadContact, DivergentExponent, IndexMismatch,
+from arcmeasure import (NEG_INF, BadContact, DivergentExponent, IndexMismatch,
                         LaurentPoly, MotiveSeries, MultiplicityVector, Order,
-                        ResolutionData, ResolutionDiagram, SNCStratum,
-                        compare_germ_measures, contact_stratum_measure,
-                        geometric_sum, germ_measure, image_measure,
-                        motivic_integral, motivic_integral_by_enumeration,
-                        ord_jac_on_stratum, parse_motive, render, virtual_dim)
+                        PrecisionExhausted, ResolutionData, ResolutionDiagram,
+                        SNCStratum, compare_germ_measures,
+                        contact_stratum_measure, geometric_sum, germ_measure,
+                        image_measure, leq_order, motivic_integral,
+                        motivic_integral_by_enumeration, ord_jac_on_stratum,
+                        parse_motive, render, virtual_dim)
 from arcmeasure import catalog
 
 
@@ -353,11 +354,10 @@ def test_compare_trivial_cases():
                                  MotiveSeries({-1: 1})) == Order.LESS
 
 
-def test_compare_requires_common_floor():
+def test_compare_across_floors_is_exact():
     a = germ_measure(catalog.cusp_data(), -8)
     b = germ_measure(catalog.cusp_data(), -12)
-    with pytest.raises(ValueError):
-        compare_germ_measures(a, b)
+    assert compare_germ_measures(a, b) == Order.EQUAL
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +402,66 @@ def resolutions(draw):
         mults.append(MultiplicityVector(a))
         alpha.append(tuple(draw(st.integers(-x, 2)) for x in a))
     return ResolutionData(tuple(strata), tuple(mults)), alpha
+
+
+@pytest.mark.parametrize("data, d", [
+    (catalog.blowup_data(2), 2),
+    (catalog.blowup_data(3), 3),
+    (catalog.double_blowup_data(), 2),
+])
+def test_blowups_equal_the_identity_exactly(data, d):
+    identity = germ_measure(catalog.identity_data(d), -8)
+    for floor in (-3, -8, -40):
+        assert compare_germ_measures(germ_measure(data, floor),
+                                     identity) == Order.EQUAL
+
+
+def test_literal_with_far_floor_compares_without_expansion():
+    # nothing is expanded down to the literal's floor, so this is instant
+    literal = parse_motive("u^-1 + O(u^-1000000)")
+    cusp = germ_measure(catalog.cusp_data(), -16)
+    assert compare_germ_measures(literal, cusp) == Order.GREATER
+    assert compare_germ_measures(cusp, literal) == Order.LESS
+
+
+def test_closed_form_is_kept_only_by_the_integral():
+    cusp = germ_measure(catalog.cusp_data(), -8)
+    n, ks = cusp.closed_form
+    assert (n, ks) == ({-2: 1, -3: -1}, (2,))
+    assert virtual_dim(cusp) == -2
+    for derived in (cusp + 0, cusp * 1, -(-cusp), cusp.with_floor(-8)):
+        assert derived == cusp and hash(derived) == hash(cusp)
+        assert derived.closed_form is None
+    # exact values need no closed form
+    assert germ_measure(catalog.identity_data(2), -8).closed_form is None
+
+
+def test_dimension_and_zero_below_the_floor():
+    # degree -5 lies below the floor -4: only the closed form knows it
+    s = SNCStratum("p", (0,), LaurentPoly.one(), 2)
+    deep = germ_measure(ResolutionData((s,), (MultiplicityVector((3,)),)),
+                        -4)
+    assert deep.terms == {} and virtual_dim(deep) == -5
+    with pytest.raises(PrecisionExhausted):
+        virtual_dim(deep.with_floor(-4))
+    t = SNCStratum("q", (0,), -LaurentPoly.one(), 2)
+    zero = germ_measure(ResolutionData((s, t), ((3,), (3,))), -4)
+    assert virtual_dim(zero) == NEG_INF
+    assert compare_germ_measures(zero, 0) == Order.EQUAL
+
+
+@settings(max_examples=300, deadline=None)
+@given(resolutions(), resolutions(), st.integers(-60, -1))
+def test_exact_order_matches_series_order(res_a, res_b, floor):
+    a = motivic_integral(*res_a, floor)
+    b = motivic_integral(*res_b, floor)
+    exact = leq_order(a, b)
+    try:
+        # with_floor drops the closed forms
+        series = leq_order(a.with_floor(a.floor), b.with_floor(b.floor))
+    except PrecisionExhausted:
+        return
+    assert exact == series
 
 
 @settings(max_examples=60, deadline=None)
