@@ -23,7 +23,7 @@ def main() -> int:
             [sys.executable, "-m", "arcmeasure.cli", str(problem),
              *case["flags"]],
             capture_output=True, text=True)
-        if result.returncode not in (0, 4):
+        if result.returncode != 0:
             print(f"{case['problem']}: exit {result.returncode}",
                   file=sys.stderr)
             print(result.stderr, file=sys.stderr)

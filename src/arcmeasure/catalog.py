@@ -2,26 +2,13 @@
 
 Everything here is desk-checkable: the germ of a line, the cuspidal
 cubic with its normalization, point blow-ups of affine space, and the
-handle polynomial whose singular axis makes a good parser and
-singular-locus fixture.
+maps between them given as resolution diagrams.
 """
 
 from __future__ import annotations
 
 from .grothendieck import MotiveSeries
-from .measure import (MultiplicityVector, ResolutionData, ResolutionDiagram,
-                      SNCStratum)
-from .polynomials import MultiPoly, parse_poly
-
-
-def cusp_curve() -> MultiPoly:
-    """Plane curve with a cusp at the origin."""
-    return parse_poly("y^2 - x^3", ("x", "y"))
-
-
-def whitney_umbrella() -> MultiPoly:
-    """Surface in three-space whose singular locus is the z axis."""
-    return parse_poly("x^2 - z*y^2", ("x", "y", "z"))
+from .measure import ResolutionData, ResolutionDiagram, SNCStratum
 
 
 def line_data() -> ResolutionData:
@@ -31,7 +18,7 @@ def line_data() -> ResolutionData:
     contact strata telescopes to the measure ``u^-1``.
     """
     origin = SNCStratum("origin", (0,), MotiveSeries.one(), 1)
-    return ResolutionData((origin,), (MultiplicityVector((0,)),))
+    return ResolutionData((origin,), ((0,),))
 
 
 def cusp_data() -> ResolutionData:
@@ -41,7 +28,7 @@ def cusp_data() -> ResolutionData:
     order one at the preimage of the singular point.
     """
     origin = SNCStratum("origin", (0,), MotiveSeries.one(), 1)
-    return ResolutionData((origin,), (MultiplicityVector((1,)),))
+    return ResolutionData((origin,), ((1,),))
 
 
 def identity_data(dim: int) -> ResolutionData:
@@ -51,7 +38,7 @@ def identity_data(dim: int) -> ResolutionData:
     measure is read off exactly as ``u^-d``.
     """
     center = SNCStratum("center", (), MotiveSeries.one(), dim)
-    return ResolutionData((center,), (MultiplicityVector(()),))
+    return ResolutionData((center,), ((),))
 
 
 def blowup_data(dim: int) -> ResolutionData:
@@ -65,7 +52,7 @@ def blowup_data(dim: int) -> ResolutionData:
         raise ValueError("dimension must be positive")
     cls = MotiveSeries({i: 1 for i in range(dim)})
     e = SNCStratum("E", (0,), cls, dim)
-    return ResolutionData((e,), (MultiplicityVector((dim - 1,)),))
+    return ResolutionData((e,), ((dim - 1,),))
 
 
 def double_blowup_data() -> ResolutionData:
@@ -84,14 +71,11 @@ def double_blowup_data() -> ResolutionData:
         SNCStratum("E2_open", (1,), u, d),
         SNCStratum("E1_E2", (0, 1), one, d),
     )
-    mults = (MultiplicityVector((1,)), MultiplicityVector((2,)),
-             MultiplicityVector((1, 2)))
-    return ResolutionData(strata, mults)
+    return ResolutionData(strata, ((1,), (2,), (1, 2)))
 
 
 def _with_q(data: ResolutionData, q_vectors) -> ResolutionDiagram:
-    return ResolutionDiagram(data.strata, data.jac_mults,
-                             tuple(MultiplicityVector(q) for q in q_vectors))
+    return ResolutionDiagram(data.strata, data.jac_mults, q_vectors)
 
 
 def identity_diagram(dim: int) -> ResolutionDiagram:
@@ -101,13 +85,9 @@ def identity_diagram(dim: int) -> ResolutionDiagram:
 
 def cusp_normalization_diagram() -> ResolutionDiagram:
     """The normalization line -> cusp: source leg trivial, target order 1."""
-    data = line_data()
-    return ResolutionDiagram(data.strata, data.jac_mults,
-                             (MultiplicityVector((1,)),))
+    return _with_q(line_data(), ((1,),))
 
 
 def cusp_to_line_diagram() -> ResolutionDiagram:
     """The inverse direction cusp -> line: Jacobian bounded below."""
-    data = cusp_data()
-    return ResolutionDiagram(data.strata, data.jac_mults,
-                             (MultiplicityVector((0,)),))
+    return _with_q(cusp_data(), ((0,),))

@@ -18,19 +18,18 @@ from fractions import Fraction
 
 from .analysis import (Conclusion, inverse_mapping_report,
                        measure_comparison_report)
-from .grothendieck import NEG_INF, PrecisionExhausted, render, virtual_dim
+from .grothendieck import (NEG_INF, PrecisionExhausted, parse_motive, render,
+                           virtual_dim)
 from .measure import (DivergentExponent, ResolutionData, ResolutionDiagram,
-                      SchemaError, _get, _int_list, _parse_motive_field,
+                      SchemaError, _get, _int_list, _parsed,
                       compare_germ_measures, germ_measure, motivic_integral)
-from .polynomials import (ConstantInput, ParseError, PolySystem,
+from .polynomials import (ConstantInput, PolySystem,
                           hypersurface_singular_ideal, parse_poly, render_poly)
 from .series import ArcJet, compose, jet_equations, render_trunc
 
 SCHEMA_VERSION = 1
 DEFAULT_FLOOR = -16
 DEFAULT_CAP = 12
-KINDS = ("jets", "compose", "hx", "measure", "integrate", "compare",
-         "check-map")
 
 
 class LiteralLimit(PrecisionExhausted):
@@ -69,13 +68,6 @@ def _fraction(value, path) -> Fraction:
     raise SchemaError(path, "expected an integer or 'p/q' string")
 
 
-def _parse_poly_field(text, variables, path):
-    try:
-        return parse_poly(text, variables)
-    except ParseError as exc:
-        raise SchemaError(path, str(exc))
-
-
 def _variables(payload, path):
     names = _get(payload, path, "variables", list, "a list of names")
     if not names:
@@ -99,7 +91,7 @@ def _measure_spec(payload, key, floor):
     spec = _get(payload, "payload", key, object, "a spec")
     path = f"payload.{key}"
     if isinstance(spec, str):
-        return _parse_motive_field(spec, path)
+        return _parsed(path, parse_motive, spec)
     if isinstance(spec, dict) and "resolution" in spec:
         return germ_measure(_resolution(spec, path), floor)
     raise SchemaError(path, "expected a measure string or a resolution")
@@ -120,8 +112,8 @@ def _run_jets(payload, options):
     for i, g in enumerate(gens_field):
         if not isinstance(g, str):
             raise SchemaError(f"payload.generators[{i}]", "expected a string")
-        gens.append(_parse_poly_field(g, variables,
-                                      f"payload.generators[{i}]"))
+        gens.append(_parsed(f"payload.generators[{i}]", parse_poly, g,
+                            variables))
     system = PolySystem(variables, gens)
     jets = jet_equations(system, level)
     rendered = sorted(render_poly(g) for g in jets)
@@ -134,7 +126,7 @@ def _run_jets(payload, options):
 def _run_hx(payload, options):
     variables = _variables(payload, "payload")
     f_text = _get(payload, "payload", "f", str, "a polynomial string")
-    f = _parse_poly_field(f_text, variables, "payload.f")
+    f = _parsed("payload.f", parse_poly, f_text, variables)
     try:
         system = hypersurface_singular_ideal(f)
     except ConstantInput as exc:
@@ -149,7 +141,7 @@ def _run_hx(payload, options):
 def _run_compose(payload, options):
     variables = _variables(payload, "payload")
     f_text = _get(payload, "payload", "f", str, "a polynomial string")
-    f = _parse_poly_field(f_text, variables, "payload.f")
+    f = _parsed("payload.f", parse_poly, f_text, variables)
     arc_field = _get(payload, "payload", "arc", list, "a list of rows")
     if len(arc_field) != len(variables):
         raise SchemaError("payload.arc",
@@ -237,13 +229,14 @@ def _run_check_map(payload, options):
 
 _HANDLERS = {
     "jets": _run_jets,
-    "hx": _run_hx,
     "compose": _run_compose,
+    "hx": _run_hx,
     "measure": _run_measure,
     "integrate": _run_integrate,
     "compare": _run_compare,
     "check-map": _run_check_map,
 }
+KINDS = tuple(_HANDLERS)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +267,7 @@ def _load_problem(path):
     for key in options:
         if key not in ("floor", "cap"):
             raise SchemaError(f"problem.options.{key}", "unknown option")
-        value = options[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"problem.options.{key}", "expected an integer")
+        _get(options, "problem.options", key, int, "an integer")
     return kind, payload, options
 
 
@@ -306,7 +297,8 @@ def main(argv=None) -> int:
             else options.get("cap", DEFAULT_CAP),
         }
         if effective["cap"] < 0:
-            raise SchemaError("options.cap", "must be nonnegative")
+            path = "--cap" if args.cap is not None else "problem.options.cap"
+            raise SchemaError(path, "must be nonnegative")
         code, text, obj = _HANDLERS[kind](payload, effective)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

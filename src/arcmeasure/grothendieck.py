@@ -20,6 +20,7 @@ zero and as the floor of exact series.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import accumulate
 from operator import add
 
@@ -39,6 +40,15 @@ def _check_int(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} {value!r} is not an int")
     return value
+
+
+def _coefficient(c) -> Fraction:
+    # exact rationals only: a float, bool or string is an input error
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int) and not isinstance(c, bool):
+        return Fraction(c)
+    raise TypeError(f"coefficient {c!r} is not an int or Fraction")
 
 
 def _as_terms(exponent_map):
@@ -520,12 +530,15 @@ def render(a) -> str:
     return f"{body} + {o_term}" if body else o_term
 
 
-class RingParseError(ValueError):
-    """Text does not match the canonical Laurent/series grammar."""
+class ParseError(ValueError):
+    """Input text rejected, with the offending character offset."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
+
+
+RingParseError = ParseError  # one class for ring and polynomial text
 
 
 def parse_motive(text: str):
@@ -555,7 +568,7 @@ def parse_motive(text: str):
         while k < n and s[k].isdigit():
             k += 1
         if k == j:
-            raise RingParseError(f"expected {what}", i)
+            raise ParseError(f"expected {what}", i)
         return int(s[i:k]), k
 
     terms = {}
@@ -571,10 +584,10 @@ def parse_motive(text: str):
     while True:
         if s.startswith("O(u^", pos):
             if sign < 0:
-                raise RingParseError("'-' before the O term", sign_pos)
+                raise ParseError("'-' before the O term", sign_pos)
             val, j = parse_int(pos + 4, "floor exponent")
             if j >= n or s[j] != ")":
-                raise RingParseError("expected ')'", j)
+                raise ParseError("expected ')'", j)
             floor = val
             pos = skip_ws(j + 1)
             break
@@ -588,14 +601,14 @@ def parse_motive(text: str):
             if pos < n and s[pos] == "*":
                 pos += 1
                 if not s.startswith("u", pos):
-                    raise RingParseError("expected 'u' after '*'", pos)
+                    raise ParseError("expected 'u' after '*'", pos)
                 saw_u = True
                 pos += 1
         elif pos < n and s[pos] == "u":
             saw_u = True
             pos += 1
         else:
-            raise RingParseError("expected term", pos)
+            raise ParseError("expected term", pos)
         if saw_u:
             if pos < n and s[pos] == "^":
                 exponent, pos = parse_int(pos + 1, "exponent")
@@ -612,15 +625,15 @@ def parse_motive(text: str):
         elif s[pos] == "-":
             sign = -1
         else:
-            raise RingParseError("expected '+', '-' or end", pos)
+            raise ParseError("expected '+', '-' or end", pos)
         sign_pos = pos
         pos = skip_ws(pos + 1)
         if pos >= n:
-            raise RingParseError("dangling operator", pos)
+            raise ParseError("dangling operator", pos)
     if pos != n:
-        raise RingParseError("trailing input", pos)
+        raise ParseError("trailing input", pos)
     buried = [starts[e] for e in terms if e <= floor]
     if buried:
-        raise RingParseError(
+        raise ParseError(
             f"term at or below the floor {floor}", min(buried))
     return MotiveSeries(terms, floor)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grothendieck import (MotiveSeries, RingParseError, _check_int,
+from .grothendieck import (MotiveSeries, ParseError, _check_int,
                            _expand_rational, leq_order, parse_motive, render)
 
 
@@ -49,26 +49,22 @@ class SchemaError(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class MultiplicityVector:
+class MultiplicityVector(tuple):
     """Nonnegative vanishing orders, one per divisor component of a stratum."""
 
-    values: tuple
+    __slots__ = ()
 
-    def __init__(self, values):
+    def __new__(cls, values):
+        if type(values) is cls:  # immutable and already checked
+            return values
         values = tuple(_check_int(v, "multiplicity") for v in values)
         if any(v < 0 for v in values):
             raise ValueError("multiplicities must be nonnegative")
-        object.__setattr__(self, "values", values)
+        return super().__new__(cls, values)
 
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
+    @property
+    def values(self) -> tuple:
+        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -142,9 +138,7 @@ class ResolutionData:
 
     def __init__(self, strata, jac_mults):
         strata = tuple(strata)
-        jac_mults = tuple(MultiplicityVector(m) if not isinstance(
-            m, MultiplicityVector) else m for m in jac_mults)
-        _validate_strata(strata, jac_mults)
+        (jac_mults,) = _legs(strata, jac_mults)
         object.__setattr__(self, "strata", strata)
         object.__setattr__(self, "jac_mults", jac_mults)
 
@@ -153,13 +147,7 @@ class ResolutionData:
         return self.strata[0].ambient_dim
 
     def to_json(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "strata": [
-                {"name": s.name, "index_set": list(s.index_set),
-                 "class": render(s.stratum_class), "p_mults": list(m)}
-                for s, m in zip(self.strata, self.jac_mults)],
-        }
+        return _resolution_to_json(self.strata, p_mults=self.jac_mults)
 
     @classmethod
     def from_json(cls, data: dict, path="resolution") -> "ResolutionData":
@@ -183,12 +171,7 @@ class ResolutionDiagram:
 
     def __init__(self, strata, p_mults, q_mults):
         strata = tuple(strata)
-        p_mults = tuple(MultiplicityVector(m) if not isinstance(
-            m, MultiplicityVector) else m for m in p_mults)
-        q_mults = tuple(MultiplicityVector(m) if not isinstance(
-            m, MultiplicityVector) else m for m in q_mults)
-        _validate_strata(strata, p_mults)
-        _validate_strata(strata, q_mults)
+        p_mults, q_mults = _legs(strata, p_mults, q_mults)
         object.__setattr__(self, "strata", strata)
         object.__setattr__(self, "p_mults", p_mults)
         object.__setattr__(self, "q_mults", q_mults)
@@ -210,14 +193,8 @@ class ResolutionDiagram:
         raise KeyError(f"no stratum named {name!r}")
 
     def to_json(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "strata": [
-                {"name": s.name, "index_set": list(s.index_set),
-                 "class": render(s.stratum_class),
-                 "p_mults": list(p), "q_mults": list(q)}
-                for s, p, q in zip(self.strata, self.p_mults, self.q_mults)],
-        }
+        return _resolution_to_json(self.strata, p_mults=self.p_mults,
+                                   q_mults=self.q_mults)
 
     @classmethod
     def from_json(cls, data: dict, path="diagram") -> "ResolutionDiagram":
@@ -226,23 +203,28 @@ class ResolutionDiagram:
         return _resolution_from_json(cls, data, path, ("p_mults", "q_mults"))
 
 
-def _validate_strata(strata, mults):
-    if not strata:
-        raise ValueError("need at least one stratum")
-    if len(mults) != len(strata):
-        raise IndexMismatch("one multiplicity vector per stratum required")
-    d = strata[0].ambient_dim
-    names = set()
-    for s, m in zip(strata, mults):
-        if s.ambient_dim != d:
-            raise ValueError("strata must share the ambient dimension")
-        if s.name in names:
-            raise ValueError(f"duplicate stratum name {s.name!r}")
-        names.add(s.name)
-        if len(m) != len(s.index_set):
-            raise IndexMismatch(
-                f"stratum {s.name!r}: {len(m)} multiplicities for "
-                f"{len(s.index_set)} components")
+def _legs(strata, *legs):
+    """Each leg as one :class:`MultiplicityVector` per stratum, sized to
+    the stratum's index set; the strata are checked along with each."""
+    legs = [tuple(map(MultiplicityVector, leg)) for leg in legs]
+    for mults in legs:
+        if not strata:
+            raise ValueError("need at least one stratum")
+        if len(mults) != len(strata):
+            raise IndexMismatch("one multiplicity vector per stratum required")
+        d = strata[0].ambient_dim
+        names = set()
+        for s, m in zip(strata, mults):
+            if s.ambient_dim != d:
+                raise ValueError("strata must share the ambient dimension")
+            if s.name in names:
+                raise ValueError(f"duplicate stratum name {s.name!r}")
+            names.add(s.name)
+            if len(m) != len(s.index_set):
+                raise IndexMismatch(
+                    f"stratum {s.name!r}: {len(m)} multiplicities for "
+                    f"{len(s.index_set)} components")
+    return legs
 
 
 def _get(obj, path, key, typ, type_name):
@@ -269,11 +251,25 @@ def _int_list(value, path, allow_negative=True):
     return out
 
 
-def _parse_motive_field(text, path):
+def _parsed(path, parse, *args):
+    """``parse(*args)``, a :class:`ParseError` reported against ``path``."""
     try:
-        return parse_motive(text)
-    except RingParseError as exc:
+        return parse(*args)
+    except ParseError as exc:
         raise SchemaError(path, str(exc))
+
+
+def _resolution_to_json(strata, **legs):
+    """The JSON form :func:`_resolution_from_json` reads back; ``legs``
+    maps each multiplicity field to its vectors."""
+    return {
+        "ambient_dim": strata[0].ambient_dim,
+        "strata": [
+            {"name": s.name, "index_set": list(s.index_set),
+             "class": render(s.stratum_class),
+             **{leg: list(vectors[i]) for leg, vectors in legs.items()}}
+            for i, s in enumerate(strata)],
+    }
 
 
 def _resolution_from_json(cls, data, path, legs):
@@ -297,8 +293,8 @@ def _resolution_from_json(cls, data, path, legs):
         name = _get(entry, p, "name", str, "a string")
         index_set = _int_list(_get(entry, p, "index_set", list, "a list"),
                               f"{p}.index_set")
-        cls_value = _parse_motive_field(
-            _get(entry, p, "class", str, "a class string"), f"{p}.class")
+        cls_value = _parsed(f"{p}.class", parse_motive,
+                            _get(entry, p, "class", str, "a class string"))
         fields.append((name, index_set, cls_value))
         mults.append([_int_list(_get(entry, p, leg, list, "a list"),
                                 f"{p}.{leg}", allow_negative=False)

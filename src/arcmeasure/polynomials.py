@@ -12,16 +12,8 @@ import itertools
 from fractions import Fraction
 from operator import add
 
-from .grothendieck import (_add_terms, _check_int, _mul_terms, _pow_terms,
-                           _power_text, _signed_sum)
-
-
-class ParseError(ValueError):
-    """Input text rejected, with the offending character offset."""
-
-    def __init__(self, message, offset):
-        super().__init__(f"{message} at offset {offset}")
-        self.offset = offset
+from .grothendieck import (ParseError, _add_terms, _check_int, _coefficient,
+                           _mul_terms, _pow_terms, _power_text, _signed_sum)
 
 
 class ArityMismatch(ValueError):
@@ -48,7 +40,7 @@ class MultiPoly:
                     f"{len(self.variables)} variables")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent in polynomial")
-            c = Fraction(c)
+            c = _coefficient(c)
             if c:
                 clean[exps] = c
         object.__setattr__(self, "terms", clean)
@@ -63,7 +55,7 @@ class MultiPoly:
     @classmethod
     def constant(cls, variables, value) -> "MultiPoly":
         variables = tuple(variables)
-        value = Fraction(value)
+        value = _coefficient(value)
         return _poly(variables, {(0,) * len(variables): value} if value
                      else {})
 
@@ -148,9 +140,9 @@ class MultiPoly:
     def evaluate(self, values) -> Fraction:
         """Value at a rational point, given per variable name or position."""
         if isinstance(values, dict):
-            point = [Fraction(values[v]) for v in self.variables]
+            point = [_coefficient(values[v]) for v in self.variables]
         else:
-            point = [Fraction(v) for v in values]
+            point = [_coefficient(v) for v in values]
             if len(point) != len(self.variables):
                 raise ArityMismatch("point has wrong number of coordinates")
         total = Fraction(0)

@@ -13,22 +13,14 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 
-from .grothendieck import _add_terms, _mul_terms, _power_text, _signed_sum
+from .grothendieck import (_add_terms, _coefficient, _mul_terms, _power_text,
+                           _signed_sum)
 from .polynomials import (ArityMismatch, MultiPoly, PolySystem, _poly,
                           matrix_minors)
 
 
 class IndeterminateAtCap(ArithmeticError):
     """The truncation cap is too small to settle the requested order."""
-
-
-def _coefficient(c) -> Fraction:
-    # exact rationals only: a float or bool coefficient is an input error
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int) and not isinstance(c, bool):
-        return Fraction(c)
-    raise TypeError(f"series coefficient {c!r} is not an int or Fraction")
 
 
 class TruncSeries:

@@ -468,6 +468,78 @@ def test_unknown_option_exits_2(run):
     assert "problem.options.depth" in err
 
 
+def _jets(**fields):
+    return problem("jets", {"variables": ["x", "y"],
+                            "generators": ["y^2 - x^3"], "level": 2,
+                            **fields})
+
+
+def _compose(arc, **options):
+    return problem("compose", {"variables": ["x"], "f": "x", "arc": arc},
+                   **options)
+
+
+def _stratum(**fields):
+    return {"name": "origin", "index_set": [0], "class": "1",
+            "p_mults": [1], **fields}
+
+
+def _resolution(**fields):
+    return problem("measure", {"resolution": {**CUSP_RES, **fields}})
+
+
+# one malformed problem per rejection site: the stderr line names the
+# field's path, so a rewired check that loses its path fails here
+@pytest.mark.parametrize("doc, message", [
+    (_compose([[0, True]], cap=1),
+     "payload.arc[0][1]: expected an integer or 'p/q' string"),
+    (_compose([[0, 0.5]], cap=1),
+     "payload.arc[0][1]: expected an integer or 'p/q' string"),
+    (_jets(variables=[]), "payload.variables: must be nonempty"),
+    (_jets(variables=["x", ""]), "payload.variables[1]: expected a name"),
+    (_jets(variables=["x", "x"]), "payload.variables: names must be distinct"),
+    (problem("compare", {"left": 3, "right": "u^-1"}),
+     "payload.left: expected a measure string or a resolution"),
+    (_jets(generators=[]), "payload.generators: must be nonempty"),
+    (_jets(level=-1), "payload.level: must be nonnegative"),
+    (_jets(generators=["x", 3]), "payload.generators[1]: expected a string"),
+    (problem("hx", {"variables": ["x"], "f": "3"}),
+     "payload.f: defining polynomial must be nonconstant"),
+    (_compose([5]), "payload.arc[0]: expected a list"),
+    (_compose([[0, 1, 2]], cap=1),
+     "payload.arc[0]: more than cap+1 = 2 coefficients"),
+    (problem("integrate", {"resolution": CUSP_RES, "alpha": []}),
+     "payload.alpha: expected 1 vectors"),
+    ([], "problem: expected a JSON object"),
+    ({**_jets(), "options": [3]}, "problem.options: expected an object"),
+    (_compose([[0]], floor=True), "problem.options.floor: expected an integer"),
+    (_compose([[0]], cap="3"), "problem.options.cap: expected an integer"),
+    (_compose([[0]], cap=-1), "problem.options.cap: must be nonnegative"),
+    (_resolution(ambient_dim=True),
+     "payload.resolution.ambient_dim: expected an integer"),
+    (_resolution(strata={}), "payload.resolution.strata: expected a list"),
+    (problem("integrate", {"resolution": CUSP_RES, "alpha": [5]}),
+     "payload.alpha[0]: expected a list of integers"),
+    (_resolution(strata=[_stratum(index_set=[0.5])]),
+     "payload.resolution.strata[0].index_set[0]: expected an integer"),
+    (_resolution(strata=[_stratum(p_mults=[-1])]),
+     "payload.resolution.strata[0].p_mults[0]: must be nonnegative"),
+    (_resolution(ambient_dim=0),
+     "payload.resolution.ambient_dim: must be positive"),
+    (_resolution(strata=[]), "payload.resolution.strata: must be nonempty"),
+    (_resolution(strata=[3]), "payload.resolution.strata[0]: expected an object"),
+])
+def test_malformed_problem_names_the_field(run, doc, message):
+    code, out, err = run(doc)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("options", [{}, {"cap": 3}])
+def test_negative_cap_flag_names_the_flag(run, options):
+    code, _, err = run(_compose([[0, 1]], **options), "--cap", "-1")
+    assert (code, err) == (2, "error: --cap: must be nonnegative\n")
+
+
 def test_bad_class_string_reports_field_path(run):
     broken = {"ambient_dim": 1,
               "strata": [{"name": "origin", "index_set": [0],
