@@ -20,6 +20,7 @@ zero and as the floor of exact series.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import accumulate
 from operator import add
@@ -541,99 +542,136 @@ class ParseError(ValueError):
 RingParseError = ParseError  # one class for ring and polynomial text
 
 
-def parse_motive(text: str):
-    """Parse the canonical form back into a :class:`MotiveSeries`.
+# the one term scanner of ring and polynomial text
+_MAX_DIGITS = 4300  # longest integer literal the scanner reads
+_POWER = r"\^(-?\d*)"  # a power's exponent text
+_SIGN = re.compile(r"[ \t]*([+-]?)[ \t]*")
+_O_TERM = re.compile(r"O\(u" + _POWER)
+# a factor with its power and the operator after it
+_FACTOR = re.compile(r"(?:(\d+)(?:/(\d+))?|([^\W\d]\w*))(?:" + _POWER
+                     + r")?[ \t]*([*+-]?)[ \t]*")
 
-    The floor is the one the O term states, ``NEG_INF`` (an exact value)
-    when there is none.  Accepts
-    the exact grammar :func:`render` produces, plus fully explicit
-    variants like ``1*u^1``.  A term at or below the stated floor and a
-    minus sign before the O term are rejected: neither has a meaning
-    the floor could keep.
+
+def _int(text, offset, what):
+    """The value of ``text``, a ``-?digits`` literal found at ``offset``.
+
+    ``int()`` reads at most 640 digits at a time, the lowest limit
+    ``sys.set_int_max_str_digits`` accepts, so only ``_MAX_DIGITS``
+    decides which literals are too long.
+    """
+    try:
+        if len(text) <= 640:
+            return int(text)
+    except ValueError:  # "" or "-"
+        raise ParseError(f"expected {what}", offset) from None
+    digits = text.lstrip("-")
+    if len(digits) > _MAX_DIGITS:
+        raise ParseError(
+            f"integer literal longer than {_MAX_DIGITS} digits", offset)
+    value = 0
+    for i in range(0, len(digits), 640):
+        chunk = digits[i:i + 640]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
+
+
+def _unexpected(s, pos):
+    # the error for s[pos], where no factor or operator starts
+    if pos == len(s):
+        return ParseError("unexpected end of input", pos)
+    if s[pos].isalnum() or s[pos] == "_":
+        return ParseError("implicit multiplication is not allowed", pos)
+    return ParseError(f"unexpected character {s[pos]!r}", pos)
+
+
+def _scan_terms(s, names):
+    """The terms of the signed sum of products in ``s``.
+
+    A term is a product of factors joined by ``*``; a factor is an
+    unsigned integer, a ``p/q`` literal or one of ``names``, with an
+    optional ``^k``, and only a name takes a negative ``k``.  Spaces and
+    tabs may surround the ``+``, ``-`` and ``*`` operators.
+
+    Returns ``(terms, stop)``.  ``terms`` holds one ``(offset,
+    coefficient, exponents)`` per term: the offset of its first factor,
+    its signed coefficient (an int unless a ``p/q`` literal occurs in
+    it) and its exponent tuple aligned with ``names``.  ``stop`` is
+    ``len(s)``, or the offset of an ``O(`` standing where a term would
+    start, where the scan ends.
+    """
+    terms = []
+    m = _SIGN.match(s)
+    op, pos = m.group(1), m.end()
+    while True:  # one term per round, ``op`` being its sign
+        if s.startswith("O(", pos):
+            return terms, pos
+        start = pos
+        coefficient = -1 if op == "-" else 1
+        exponents = [0] * len(names)
+        while True:  # one factor per round
+            m = _FACTOR.match(s, pos)
+            if m is None:
+                raise _unexpected(s, pos)
+            digits, denominator, name, power, op = m.groups()
+            k = 1 if power is None else _int(power, m.start(4),
+                                             "integer exponent")
+            if name is None:
+                if k < 0:
+                    raise ParseError("negative power of a number",
+                                     m.start(4))
+                value = _int(digits, pos, "number")
+                if denominator is not None:
+                    q = _int(denominator, m.start(2), "denominator")
+                    if not q:
+                        raise ParseError("zero denominator", m.start(2))
+                    value = Fraction(value, q)
+                coefficient *= value ** k
+            elif name in names:
+                exponents[names.index(name)] += k
+            else:
+                raise ParseError(f"unknown variable {name!r}", pos)
+            pos = m.end()
+            if op != "*":
+                break
+        terms.append((start, coefficient, tuple(exponents)))
+        if not op:
+            if pos < len(s):
+                raise _unexpected(s, pos)
+            return terms, pos
+
+
+def parse_motive(text: str):
+    """Parse ring text, such as :func:`render` output, into a series.
+
+    Ring text is a sum of terms over the name ``u`` with integer
+    coefficients and integer powers, ``u^2 - 3*u + 2*u^-1``, and an
+    optional ``+ O(u^k)`` tail that sets the floor to ``k``; without
+    one the value is exact.  Integer literals have at most 4,300 digits.
+    A term at or below the stated floor and a minus sign before the O
+    term are rejected: neither has a meaning the floor could keep.
+    Offsets count from the first non-blank character.
     """
     s = text.strip()
-    pos = 0
-    n = len(s)
-
-    def skip_ws(i):
-        while i < n and s[i] == " ":
-            i += 1
-        return i
-
-    def parse_int(i, what):
-        j = i
-        if j < n and s[j] == "-":
-            j += 1
-        k = j
-        while k < n and s[k].isdigit():
-            k += 1
-        if k == j:
-            raise ParseError(f"expected {what}", i)
-        return int(s[i:k]), k
-
-    terms = {}
-    starts = {}  # exponent -> offset of its first term
+    found, stop = _scan_terms(s, ("u",))
     floor = NEG_INF
-    sign = 1
-    pos = skip_ws(pos)
-    sign_pos = pos
-    if pos < n and s[pos] == "-":
-        sign = -1
-        pos += 1
-        pos = skip_ws(pos)
-    while True:
-        if s.startswith("O(u^", pos):
-            if sign < 0:
-                raise ParseError("'-' before the O term", sign_pos)
-            val, j = parse_int(pos + 4, "floor exponent")
-            if j >= n or s[j] != ")":
-                raise ParseError("expected ')'", j)
-            floor = val
-            pos = skip_ws(j + 1)
-            break
-        # one term: coefficient and/or power of u
-        start = pos
-        coeff = 1
-        exponent = 0
-        saw_u = False
-        if pos < n and s[pos].isdigit():
-            coeff, pos = parse_int(pos, "coefficient")
-            if pos < n and s[pos] == "*":
-                pos += 1
-                if not s.startswith("u", pos):
-                    raise ParseError("expected 'u' after '*'", pos)
-                saw_u = True
-                pos += 1
-        elif pos < n and s[pos] == "u":
-            saw_u = True
-            pos += 1
-        else:
-            raise ParseError("expected term", pos)
-        if saw_u:
-            if pos < n and s[pos] == "^":
-                exponent, pos = parse_int(pos + 1, "exponent")
-            else:
-                exponent = 1
-        c = sign * coeff
-        terms[exponent] = terms.get(exponent, 0) + c
-        starts.setdefault(exponent, start)
-        pos = skip_ws(pos)
-        if pos >= n:
-            break
-        if s[pos] == "+":
-            sign = 1
-        elif s[pos] == "-":
-            sign = -1
-        else:
-            raise ParseError("expected '+', '-' or end", pos)
-        sign_pos = pos
-        pos = skip_ws(pos + 1)
-        if pos >= n:
-            raise ParseError("dangling operator", pos)
-    if pos != n:
-        raise ParseError("trailing input", pos)
-    buried = [starts[e] for e in terms if e <= floor]
-    if buried:
-        raise ParseError(
-            f"term at or below the floor {floor}", min(buried))
-    return MotiveSeries(terms, floor)
+    if stop < len(s):
+        head = s[:stop].rstrip(" \t")
+        if head.endswith("-"):
+            raise ParseError("'-' before the O term", len(head) - 1)
+        m = _O_TERM.match(s, stop)
+        if m is None:
+            raise ParseError("expected 'O(u^'", stop)
+        floor = _int(m.group(1), m.start(1), "floor exponent")
+        j = m.end()
+        if not s.startswith(")", j):
+            raise ParseError("expected ')'", j)
+        if j + 1 < len(s):
+            raise ParseError("trailing input", j + 1)
+    terms = {}
+    for offset, c, (e,) in found:
+        if type(c) is not int:
+            raise ParseError("ring coefficients are integers", offset)
+        if e <= floor:
+            raise ParseError(f"term at or below the floor {floor}", offset)
+        terms[e] = terms.get(e, 0) + c
+    return _series({e: c for e, c in terms.items() if c}, floor)

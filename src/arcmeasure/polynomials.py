@@ -13,7 +13,8 @@ from fractions import Fraction
 from operator import add
 
 from .grothendieck import (ParseError, _add_terms, _check_int, _coefficient,
-                           _mul_terms, _pow_terms, _power_text, _signed_sum)
+                           _mul_terms, _pow_terms, _power_text, _scan_terms,
+                           _signed_sum)
 
 
 class ArityMismatch(ValueError):
@@ -188,104 +189,24 @@ def render_poly(p: MultiPoly) -> str:
 
 
 def parse_poly(text: str, variables) -> MultiPoly:
-    """Parse ``+ - * ^`` expressions over the declared variables.
+    """Parse an expanded polynomial over the declared variables.
 
-    Implicit multiplication is rejected, as are parentheses; inputs are
-    expanded polynomials like ``y^2 - x^3`` or ``3/2*x*y``.  Rational
-    literals use ``/`` with no surrounding spaces.
+    Polynomial text is a sum of terms over ``variables`` with integer or
+    ``p/q`` coefficients (no spaces around the ``/``) and nonnegative
+    powers, such as ``y^2 - x^3`` or ``3/2*x*y``.  Integer literals have
+    at most 4,300 digits; a zero denominator, implicit multiplication
+    and parentheses are rejected.
     """
     variables = tuple(variables)
-    index = {v: i for i, v in enumerate(variables)}
-    s = text
-    n = len(s)
-    pos = 0
-
-    def skip_ws(i):
-        while i < n and s[i] in " \t":
-            i += 1
-        return i
-
-    def lex_number(i):
-        k = i
-        while k < n and s[k].isdigit():
-            k += 1
-        if k == i:
-            raise ParseError("expected number", i)
-        num = int(s[i:k])
-        if k < n and s[k] == "/" and k + 1 < n and s[k + 1].isdigit():
-            j = k + 1
-            while j < n and s[j].isdigit():
-                j += 1
-            return Fraction(num, int(s[k + 1:j])), j
-        return Fraction(num), k
-
-    def lex_ident(i):
-        k = i
-        while k < n and (s[k].isalnum() or s[k] == "_"):
-            k += 1
-        return s[i:k], k
-
-    def parse_factor(i):
-        i = skip_ws(i)
-        if i >= n:
-            raise ParseError("expected factor", i)
-        if s[i].isdigit():
-            value, j = lex_number(i)
-            base = MultiPoly.constant(variables, value)
-        elif s[i].isalpha() or s[i] == "_":
-            name, j = lex_ident(i)
-            if name not in index:
-                raise ParseError(f"unknown variable {name!r}", i)
-            base = MultiPoly.variable(variables, index[name])
-        else:
-            raise ParseError(f"unexpected character {s[i]!r}", i)
-        if j < n and s[j] == "^":
-            j += 1
-            if j >= n or not s[j].isdigit():
-                raise ParseError("expected integer exponent", j)
-            k = j
-            while k < n and s[k].isdigit():
-                k += 1
-            base = base ** int(s[j:k])
-            j = k
-        j2 = skip_ws(j)
-        if j2 < n and (s[j2].isalnum() or s[j2] == "_"):
-            raise ParseError("implicit multiplication is not allowed", j2)
-        return base, j
-
-    def parse_term(i):
-        acc, i = parse_factor(i)
-        while True:
-            j = skip_ws(i)
-            if j < n and s[j] == "*":
-                f, i = parse_factor(j + 1)
-                acc = acc * f
-            else:
-                return acc, i
-
-    total = MultiPoly.zero(variables)
-    pos = skip_ws(pos)
-    sign = 1
-    if pos < n and s[pos] in "+-":
-        sign = -1 if s[pos] == "-" else 1
-        pos += 1
-    if skip_ws(pos) >= n:
-        raise ParseError("empty polynomial", skip_ws(pos))
-    while True:
-        term, pos = parse_term(pos)
-        total = total + (term if sign == 1 else -term)
-        pos = skip_ws(pos)
-        if pos >= n:
-            return total
-        if s[pos] == "+":
-            sign = 1
-        elif s[pos] == "-":
-            sign = -1
-        else:
-            raise ParseError(f"unexpected character {s[pos]!r}", pos)
-        pos += 1
-        if skip_ws(pos) >= n:
-            raise ParseError("dangling operator", pos)
+    found, stop = _scan_terms(text, variables)
+    if stop < len(text):
+        raise ParseError("an O term is not a polynomial", stop)
+    terms = {}
+    for offset, c, exponents in found:
+        if min(exponents, default=0) < 0:
+            raise ParseError("negative exponent in a polynomial", offset)
+        terms[exponents] = terms.get(exponents, 0) + c
+    return _poly(variables, {e: Fraction(c) for e, c in terms.items() if c})
 
 
 class PolySystem:

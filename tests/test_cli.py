@@ -93,6 +93,39 @@ def test_jets_malformed_polynomial_exits_2_with_offset(run):
     assert "offset 3" in err
 
 
+@pytest.mark.parametrize("kind, payload, field", [
+    ("jets", {"variables": ["x"], "generators": ["1/0*x"], "level": 1},
+     "payload.generators[0]"),
+    ("hx", {"variables": ["x", "y"], "f": "1/0*x"}, "payload.f"),
+    ("compose", {"variables": ["x"], "f": "1/0*x", "arc": [[0, 1]]},
+     "payload.f"),
+])
+def test_zero_denominator_exits_2_with_offset(run, kind, payload, field):
+    code, out, err = run(problem(kind, payload))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}: zero denominator at offset 2")
+
+
+LONG_LITERAL = "7" * 4400
+
+
+@pytest.mark.parametrize("kind, payload, field", [
+    ("jets", {"variables": ["x"], "generators": [f"{LONG_LITERAL}*x"],
+              "level": 1}, "payload.generators[0]"),
+    ("measure", {"resolution": {
+        "ambient_dim": 1,
+        "strata": [{"name": "o", "index_set": [0], "class": LONG_LITERAL,
+                    "p_mults": [1]}]}}, "payload.resolution.strata[0].class"),
+])
+def test_overlong_literal_exits_2_with_field_path(run, kind, payload, field):
+    code, out, err = run(problem(kind, payload))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}: integer literal longer than "
+                          "4300 digits at offset 0")
+
+
 def test_jets_json_format_lists_jet_variables(run):
     code, out, _ = run(problem("jets", {"variables": ["x", "y"],
                                         "generators": ["y^2 - x^3"],

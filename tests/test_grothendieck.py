@@ -1,6 +1,7 @@
 """Ring layer: exact Laurent arithmetic, precision floors, the order."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -279,7 +280,7 @@ def test_render_canonical_forms():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("u +* u", "3u", "u^", "^2", "u**2", ""):
+    for bad in ("u +* u", "3u", "u^", "^2", "u**2", "", "*u"):
         with pytest.raises(RingParseError):
             parse_motive(bad)
 
@@ -291,6 +292,37 @@ def test_parse_error_carries_offset():
         assert exc.offset == 6
     else:
         pytest.fail("expected RingParseError")
+
+
+def test_parse_reads_products_of_factors():
+    assert parse_motive("2*u*u") == mono(2, 2)
+    assert parse_motive("u*3 - 2^3") == mono(1, 3) - 8
+    assert parse_motive("+u + O(u^-2)") == MotiveSeries({1: 1}, -2)
+    for text, offset in (("1/2*u", 0), ("2^-1", 2), ("u^", 2)):
+        with pytest.raises(RingParseError) as info:
+            parse_motive(text)
+        assert info.value.offset == offset, text
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int digit limit")
+@pytest.mark.parametrize("limit", [640, 0])
+def test_parse_digit_cap_is_the_scanners_own(limit):
+    # 4,300 digits read back whatever the interpreter's own limit says
+    literal = "9" * 4300
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert parse_motive(literal) == 10 ** 4300 - 1
+        assert parse_motive(f"u^-{literal}") == mono(1 - 10 ** 4300)
+        for text, offset in ((literal + "9", 0), (f"u^{literal}9", 2),
+                             (f"u + O(u^-{literal}9)", 8)):
+            with pytest.raises(RingParseError) as info:
+                parse_motive(text)
+            assert info.value.offset == offset
+            assert "4300 digits" in str(info.value)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_parse_rejects_term_at_or_below_floor():

@@ -57,6 +57,33 @@ def test_parse_error_offset():
 
 def test_parse_power_binds_tighter_than_product():
     assert P("2*x^3") == MultiPoly.constant(XY, 2) * P("x") ** 3
+    assert P("2*x*3*y^2*x") == MultiPoly.constant(XY, 6) * P("x") ** 2 \
+        * P("y") ** 2
+
+
+def test_parse_rejects_bad_literals_at_their_offset():
+    for text, offset, message in (("x + 1/0*y", 6, "zero denominator"),
+                                  ("x^-1", 0, "negative exponent"),
+                                  ("2^-1*x", 2, "negative power"),
+                                  ("x + " + "7" * 4301, 4, "4300 digits")):
+        with pytest.raises(ParseError) as info:
+            P(text)
+        assert info.value.offset == offset, text
+        assert message in str(info.value), text
+
+
+rational_polys = st.sampled_from([XY, XYZ]).flatmap(
+    lambda names: st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * len(names)),
+        st.fractions(max_denominator=50).filter(bool),
+        max_size=6,
+    ).map(lambda terms: MultiPoly(names, terms)))
+
+
+@given(rational_polys)
+@settings(max_examples=200)
+def test_parse_render_round_trip(p):
+    assert parse_poly(render_poly(p), p.variables) == p
 
 
 # ---------------------------------------------------------------------------
