@@ -5,115 +5,52 @@ polynomials in ``u`` and their precision-floored completions), builds
 jet equations for polynomial systems, evaluates germ measures through
 resolution data, and checks the hypotheses of the comparison theorems
 for maps presented by a double resolution diagram.
+
+Each public name below is imported from its submodule on first use, so
+``import arcmeasure.cli`` loads only the modules the command line needs.
 """
 
-from .analysis import (DEFAULT_REPORT_FLOOR, BoundednessVerdict, Conclusion,
-                       TheoremReport, check_boundedness,
-                       inner_lipschitz_probe, inverse_mapping_report,
-                       measure_comparison_report, ord_jac_f)
-from .descriptors import (CylinderDescriptor, InsufficientApproximants,
-                          MeasurableDescriptor, SingularAmbient,
-                          StableSetDescriptor, disjoint_union_measure,
-                          measure_cylinder, measure_measurable,
-                          measure_stable, re_level, stable_dim)
-from .grothendieck import (NEG_INF, ONE, U, ZERO, BoundViolated, LaurentPoly,
-                           MotiveSeries, Order, PrecisionExhausted,
-                           RingParseError, geometric_sum, leq_order,
-                           limit_of_sequence, parse_motive, render,
-                           virtual_dim)
-from .measure import (BadContact, DivergentExponent, IndexMismatch,
-                      MultiplicityVector, ResolutionData, ResolutionDiagram,
-                      SNCStratum, compare_germ_measures,
-                      contact_stratum_measure, germ_measure, image_measure,
-                      motivic_integral, motivic_integral_by_enumeration,
-                      ord_jac_on_stratum)
-from .polynomials import (ArityMismatch, ConstantInput, MultiPoly, ParseError,
-                          PolySystem, hypersurface_singular_ideal,
-                          jacobian_minors, matrix_minors, parse_poly,
-                          poly_det, render_poly)
-from .series import (ArcJet, IndeterminateAtCap, SeriesOrder, TruncSeries,
-                     arc_level, compose, jacobian_matrix_order,
-                     jet_equations, jet_variable_names, matrix_entry_orders,
-                     min_series_order, ord_jac_along, render_trunc,
-                     satisfies_jet_equations, series_order)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArcJet",
-    "ArityMismatch",
-    "BadContact",
-    "BoundViolated",
-    "BoundednessVerdict",
-    "Conclusion",
-    "ConstantInput",
-    "CylinderDescriptor",
-    "DEFAULT_REPORT_FLOOR",
-    "DivergentExponent",
-    "IndeterminateAtCap",
-    "IndexMismatch",
-    "InsufficientApproximants",
-    "LaurentPoly",
-    "MeasurableDescriptor",
-    "MotiveSeries",
-    "MultiPoly",
-    "MultiplicityVector",
-    "NEG_INF",
-    "ONE",
-    "Order",
-    "ParseError",
-    "PolySystem",
-    "PrecisionExhausted",
-    "ResolutionData",
-    "ResolutionDiagram",
-    "RingParseError",
-    "SNCStratum",
-    "SeriesOrder",
-    "SingularAmbient",
-    "StableSetDescriptor",
-    "TheoremReport",
-    "TruncSeries",
-    "U",
-    "ZERO",
-    "arc_level",
-    "check_boundedness",
-    "compare_germ_measures",
-    "compose",
-    "contact_stratum_measure",
-    "disjoint_union_measure",
-    "geometric_sum",
-    "germ_measure",
-    "hypersurface_singular_ideal",
-    "image_measure",
-    "inner_lipschitz_probe",
-    "inverse_mapping_report",
-    "jacobian_matrix_order",
-    "jacobian_minors",
-    "jet_equations",
-    "jet_variable_names",
-    "leq_order",
-    "limit_of_sequence",
-    "matrix_entry_orders",
-    "matrix_minors",
-    "measure_comparison_report",
-    "measure_cylinder",
-    "measure_measurable",
-    "measure_stable",
-    "min_series_order",
-    "motivic_integral",
-    "motivic_integral_by_enumeration",
-    "ord_jac_along",
-    "ord_jac_f",
-    "ord_jac_on_stratum",
-    "parse_motive",
-    "parse_poly",
-    "poly_det",
-    "re_level",
-    "render",
-    "render_poly",
-    "render_trunc",
-    "satisfies_jet_equations",
-    "series_order",
-    "stable_dim",
-    "virtual_dim",
-]
+_EXPORTS = {name: module for module, names in (
+    ("analysis", "DEFAULT_REPORT_FLOOR BoundednessVerdict Conclusion "
+     "TheoremReport check_boundedness inner_lipschitz_probe "
+     "inverse_mapping_report measure_comparison_report ord_jac_f"),
+    ("descriptors", "CylinderDescriptor InsufficientApproximants "
+     "MeasurableDescriptor SingularAmbient StableSetDescriptor "
+     "disjoint_union_measure measure_cylinder measure_measurable "
+     "measure_stable re_level stable_dim"),
+    ("grothendieck", "NEG_INF ONE U ZERO BoundViolated LaurentPoly "
+     "MotiveSeries Order PrecisionExhausted RingParseError geometric_sum "
+     "leq_order limit_of_sequence parse_motive render virtual_dim"),
+    ("measure", "BadContact DivergentExponent IndexMismatch "
+     "MultiplicityVector ResolutionData ResolutionDiagram SNCStratum "
+     "compare_germ_measures contact_stratum_measure germ_measure "
+     "image_measure motivic_integral motivic_integral_by_enumeration "
+     "ord_jac_on_stratum"),
+    ("polynomials", "ArityMismatch ConstantInput MultiPoly ParseError "
+     "PolySystem hypersurface_singular_ideal jacobian_minors matrix_minors "
+     "parse_poly poly_det render_poly"),
+    ("series", "ArcJet IndeterminateAtCap SeriesOrder TruncSeries arc_level "
+     "compose jacobian_matrix_order jet_equations jet_variable_names "
+     "matrix_entry_orders min_series_order ord_jac_along render_trunc "
+     "satisfies_jet_equations series_order"),
+) for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import the submodule defining ``name`` and keep the value here."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -14,9 +14,7 @@ to Inconclusive with the failing certificate attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .grothendieck import Order, leq_order, render
+from .grothendieck import Order, _Frozen, leq_order, render
 from .measure import ResolutionDiagram, image_measure, ord_jac_on_stratum
 from .series import matrix_entry_orders
 
@@ -42,8 +40,7 @@ def ord_jac_f(diagram: ResolutionDiagram, stratum_name: str,
     return ord_jac_on_stratum(q, contacts) - ord_jac_on_stratum(p, contacts)
 
 
-@dataclass(frozen=True)
-class BoundednessVerdict:
+class BoundednessVerdict(_Frozen):
     """Outcome of the two boundedness questions, with counterexamples.
 
     A witness is a ``(stratum name, contact vector)`` pair on which
@@ -51,16 +48,17 @@ class BoundednessVerdict:
     the corresponding flag is False.
     """
 
-    bounded_above: bool
-    bounded_below: bool
-    witness_above: tuple = None
-    witness_below: tuple = None
+    __slots__ = ("bounded_above", "bounded_below", "witness_above",
+                 "witness_below")
 
-    def __post_init__(self):
-        if self.bounded_above == (self.witness_above is not None):
+    def __init__(self, bounded_above, bounded_below, witness_above=None,
+                 witness_below=None):
+        if bounded_above == (witness_above is not None):
             raise ValueError("witness_above must accompany a failed bound")
-        if self.bounded_below == (self.witness_below is not None):
+        if bounded_below == (witness_below is not None):
             raise ValueError("witness_below must accompany a failed bound")
+        self._set(bounded_above=bounded_above, bounded_below=bounded_below,
+                  witness_above=witness_above, witness_below=witness_below)
 
 
 def _violating_contacts(deltas, position):
@@ -102,13 +100,15 @@ def check_boundedness(diagram: ResolutionDiagram) -> BoundednessVerdict:
                               witness_below=witness_below)
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(_Frozen):
     """Verdict plus the full account of what was checked to reach it."""
 
-    conclusion: str
-    hypotheses_checked: tuple
-    certificates: dict
+    __slots__ = ("conclusion", "hypotheses_checked", "certificates")
+
+    def __init__(self, conclusion, hypotheses_checked, certificates):
+        self._set(conclusion=conclusion,
+                  hypotheses_checked=hypotheses_checked,
+                  certificates=certificates)
 
     def to_json(self) -> dict:
         return {

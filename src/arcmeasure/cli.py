@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .analysis import (Conclusion, inverse_mapping_report,
                        measure_comparison_report)
-from .grothendieck import (NEG_INF, PrecisionExhausted, parse_motive, render,
+from .grothendieck import (_MAX_DIGITS, NEG_INF, ParseError,
+                           PrecisionExhausted, _int, parse_motive, render,
                            virtual_dim)
 from .measure import (DivergentExponent, ResolutionData, ResolutionDiagram,
                       SchemaError, _get, _int_list, _parsed,
@@ -48,7 +49,7 @@ class LiteralLimit(PrecisionExhausted):
         self.floor = value.floor
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _fraction(value, path) -> Fraction:
@@ -57,13 +58,16 @@ def _fraction(value, path) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        # Fraction() alone would also take decimals, exponents, spaces
-        # and underscores; an exponent can ask for a huge denominator
-        if _RATIONAL.fullmatch(value):
+        # [-]p[/q] only: no decimals, exponents, spaces or underscores
+        m = _RATIONAL.fullmatch(value)
+        if m:
             try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError):  # digit limit, x/0
+                p, q = [_int(digits, 0, "digits") for digits in m.groups("1")]
+            except ParseError:  # a literal over _MAX_DIGITS digits
                 pass
+            else:
+                if q:
+                    return Fraction(p, q)
         raise SchemaError(path, f"bad rational literal {value!r}")
     raise SchemaError(path, "expected an integer or 'p/q' string")
 
@@ -244,11 +248,14 @@ KINDS = tuple(_HANDLERS)
 def _load_problem(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=lambda t: _int(t, 0, "digits"))
     except OSError as exc:
         raise SchemaError("problem", f"cannot read file: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError("problem", f"invalid JSON: {exc}")
+    except ParseError:  # the only one _int raises on a JSON integer
+        raise SchemaError("problem", "invalid JSON: integer literal longer "
+                          f"than {_MAX_DIGITS} digits")
     if not isinstance(doc, dict):
         raise SchemaError("problem", "expected a JSON object")
     schema = _get(doc, "problem", "schema", int, "an integer")

@@ -10,10 +10,8 @@ verifies set containment, which is the caller's geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .grothendieck import (MotiveSeries, _check_int, parse_motive, render,
-                           virtual_dim)
+from .grothendieck import (MotiveSeries, _check_int, _Frozen, parse_motive,
+                           render, virtual_dim)
 
 
 class SingularAmbient(ValueError):
@@ -24,23 +22,22 @@ class InsufficientApproximants(ValueError):
     """No recorded approximant reaches the requested precision."""
 
 
-@dataclass(frozen=True)
-class StableSetDescriptor:
+class StableSetDescriptor(_Frozen):
     """Arc set determined at truncation level ``level``.
 
     ``class_at_level`` is the class of the level-n image; ``ambient_dim``
     the dimension of the ambient nonsingular space the arcs live in.
     """
 
-    level: int
-    class_at_level: MotiveSeries
-    ambient_dim: int
+    __slots__ = ("level", "class_at_level", "ambient_dim")
 
-    def __post_init__(self):
-        if _check_int(self.level, "level") < 0:
+    def __init__(self, level, class_at_level, ambient_dim):
+        if _check_int(level, "level") < 0:
             raise ValueError("level must be nonnegative")
-        if _check_int(self.ambient_dim, "ambient dimension") < 1:
+        if _check_int(ambient_dim, "ambient dimension") < 1:
             raise ValueError("ambient dimension must be positive")
+        self._set(level=level, class_at_level=class_at_level,
+                  ambient_dim=ambient_dim)
 
     def to_json(self) -> dict:
         return {"level": self.level,
@@ -81,18 +78,19 @@ def stable_dim(a: StableSetDescriptor):
     return virtual_dim(measure_stable(a))
 
 
-@dataclass(frozen=True)
-class CylinderDescriptor:
+class CylinderDescriptor(_Frozen):
     """Preimage of a constructible set of finite jets.
 
     ``nonsingular_ambient`` records the hypothesis under which the
     cylinder is stable; without it no measure is assigned here.
     """
 
-    level: int
-    base_class: MotiveSeries
-    ambient_dim: int
-    nonsingular_ambient: bool = True
+    __slots__ = ("level", "base_class", "ambient_dim", "nonsingular_ambient")
+
+    def __init__(self, level, base_class, ambient_dim,
+                 nonsingular_ambient=True):
+        self._set(level=level, base_class=base_class, ambient_dim=ambient_dim,
+                  nonsingular_ambient=nonsingular_ambient)
 
     def as_stable(self) -> StableSetDescriptor:
         if not self.nonsingular_ambient:
@@ -107,25 +105,25 @@ def measure_cylinder(c: CylinderDescriptor) -> MotiveSeries:
     return measure_stable(c.as_stable())
 
 
-@dataclass(frozen=True)
-class MeasurableDescriptor:
+class MeasurableDescriptor(_Frozen):
     """Stable approximants with strictly decreasing error dimensions.
 
     Each entry pairs a stable descriptor with an integer bound strictly
     above the dimension of the symmetric-difference error it leaves.
     """
 
-    approximants: tuple
+    __slots__ = ("approximants",)
 
-    def __post_init__(self):
+    def __init__(self, approximants):
         # an empty list is a legal descriptor; it just cannot be measured
-        bounds = [b for _, b in self.approximants]
+        bounds = [b for _, b in approximants]
         for m0, m1 in zip(bounds, bounds[1:]):
             if m1 >= m0:
                 raise ValueError("error bounds must strictly decrease")
-        for a, _ in self.approximants:
+        for a, _ in approximants:
             if not isinstance(a, StableSetDescriptor):
                 raise TypeError("approximants must be stable descriptors")
+        self._set(approximants=approximants)
 
     @classmethod
     def wrap_stable(cls, a: StableSetDescriptor,
@@ -138,8 +136,8 @@ def measure_measurable(m: MeasurableDescriptor, floor: int) -> MotiveSeries:
     """Measure to the requested precision floor.
 
     Uses the last approximant whose declared error dimension bound is at
-    or below the floor; coefficients above the floor agree for every
-    such approximant, so the choice only affects nothing visible.
+    or below the floor.  Coefficients above the floor agree for every
+    such approximant, so the choice does not change the result.
     """
     chosen = None
     for a, bound in m.approximants:

@@ -36,6 +36,43 @@ class BoundViolated(ValueError):
     """A declared dimension bound fails on an actual difference."""
 
 
+class _Frozen:
+    """An immutable value whose fields are the names in ``__slots__``.
+
+    ``__init__`` stores the fields once through :meth:`_set`.  ``==``,
+    ``hash`` and ``repr`` read the fields in slot order, and ``==`` holds
+    only between instances of one exact type.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}"
+                            for name in self.__slots__])
+        return f"{type(self).__name__}({fields})"
+
+
 def _check_int(value, what):
     """``value`` itself if it is an int; a bool or a non-int is a TypeError."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -113,7 +150,7 @@ def _pow_terms(a, n, one, combine):
     return result
 
 
-class MotiveSeries:
+class MotiveSeries(_Frozen):
     """Laurent series in ``u^-1`` known exactly above a precision floor.
 
     ``floor`` is an int, or ``NEG_INF`` for an exact element: a Laurent
@@ -146,12 +183,7 @@ class MotiveSeries:
     def __init__(self, exponent_map=None, floor=NEG_INF):
         _check_floor(floor)
         terms = _as_terms(exponent_map or {})
-        object.__setattr__(self, "terms", _above(terms, floor))
-        object.__setattr__(self, "floor", floor)
-        object.__setattr__(self, "closed_form", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MotiveSeries is immutable")
+        self._set(terms=_above(terms, floor), floor=floor, closed_form=None)
 
     @classmethod
     def zero(cls) -> "MotiveSeries":
@@ -649,9 +681,9 @@ def parse_motive(text: str):
     one the value is exact.  Integer literals have at most 4,300 digits.
     A term at or below the stated floor and a minus sign before the O
     term are rejected: neither has a meaning the floor could keep.
-    Offsets count from the first non-blank character.
+    Offsets count from the start of ``text``; trailing blanks are ignored.
     """
-    s = text.strip()
+    s = text.rstrip()
     found, stop = _scan_terms(s, ("u",))
     floor = NEG_INF
     if stop < len(s):

@@ -23,10 +23,9 @@ definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .grothendieck import (MotiveSeries, ParseError, _check_int,
-                           _expand_rational, leq_order, parse_motive, render)
+                           _expand_rational, _Frozen, leq_order, parse_motive,
+                           render)
 
 
 class BadContact(ValueError):
@@ -67,8 +66,7 @@ class MultiplicityVector(tuple):
         return tuple(self)
 
 
-@dataclass(frozen=True)
-class SNCStratum:
+class SNCStratum(_Frozen):
     """Stratum of the divisor stratification in a d-dimensional space.
 
     ``index_set`` names the divisor components containing the stratum;
@@ -76,10 +74,7 @@ class SNCStratum:
     empty strata are simply omitted.
     """
 
-    name: str
-    index_set: tuple
-    stratum_class: MotiveSeries
-    ambient_dim: int
+    __slots__ = ("name", "index_set", "stratum_class", "ambient_dim")
 
     def __init__(self, name, index_set, stratum_class, ambient_dim):
         index_set = tuple(index_set)
@@ -94,10 +89,8 @@ class SNCStratum:
             raise ValueError(f"stratum {name!r}: class must be nonzero")
         if not stratum_class.is_exact():
             raise ValueError(f"stratum {name!r}: class must be exact")
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "index_set", index_set)
-        object.__setattr__(self, "stratum_class", stratum_class)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
+        self._set(name=str(name), index_set=index_set,
+                  stratum_class=stratum_class, ambient_dim=ambient_dim)
 
 
 def contact_stratum_measure(stratum: SNCStratum, contacts) -> MotiveSeries:
@@ -129,18 +122,15 @@ def ord_jac_on_stratum(mults, contacts) -> int:
                for m, e in zip(mults, contacts))
 
 
-@dataclass(frozen=True)
-class ResolutionData:
+class ResolutionData(_Frozen):
     """Strata plus the Jacobian multiplicities of one resolution map."""
 
-    strata: tuple
-    jac_mults: tuple
+    __slots__ = ("strata", "jac_mults")
 
     def __init__(self, strata, jac_mults):
         strata = tuple(strata)
         (jac_mults,) = _legs(strata, jac_mults)
-        object.__setattr__(self, "strata", strata)
-        object.__setattr__(self, "jac_mults", jac_mults)
+        self._set(strata=strata, jac_mults=jac_mults)
 
     @property
     def ambient_dim(self) -> int:
@@ -156,8 +146,7 @@ class ResolutionData:
         return _resolution_from_json(cls, data, path, ("p_mults",))
 
 
-@dataclass(frozen=True)
-class ResolutionDiagram:
+class ResolutionDiagram(_Frozen):
     """Strata with the multiplicities of both legs of a resolved map.
 
     ``p_mults`` belongs to the resolution of the source germ and
@@ -165,16 +154,12 @@ class ResolutionDiagram:
     by the same divisor components stratum by stratum.
     """
 
-    strata: tuple
-    p_mults: tuple
-    q_mults: tuple
+    __slots__ = ("strata", "p_mults", "q_mults")
 
     def __init__(self, strata, p_mults, q_mults):
         strata = tuple(strata)
         p_mults, q_mults = _legs(strata, p_mults, q_mults)
-        object.__setattr__(self, "strata", strata)
-        object.__setattr__(self, "p_mults", p_mults)
-        object.__setattr__(self, "q_mults", q_mults)
+        self._set(strata=strata, p_mults=p_mults, q_mults=q_mults)
 
     @property
     def ambient_dim(self) -> int:

@@ -13,8 +13,8 @@ from fractions import Fraction
 from operator import add
 
 from .grothendieck import (ParseError, _add_terms, _check_int, _coefficient,
-                           _mul_terms, _pow_terms, _power_text, _scan_terms,
-                           _signed_sum)
+                           _Frozen, _mul_terms, _pow_terms, _power_text,
+                           _scan_terms, _signed_sum)
 
 
 class ArityMismatch(ValueError):
@@ -25,29 +25,26 @@ class ConstantInput(ValueError):
     """A nonconstant polynomial was required."""
 
 
-class MultiPoly:
+class MultiPoly(_Frozen):
     """Polynomial in the given variables over the rationals."""
 
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables, terms=None):
-        object.__setattr__(self, "variables", tuple(variables))
+        variables = tuple(variables)
         clean = {}
         for exps, c in (terms or {}).items():
             exps = tuple(_check_int(e, "exponent") for e in exps)
-            if len(exps) != len(self.variables):
+            if len(exps) != len(variables):
                 raise ArityMismatch(
                     f"exponent vector {exps} does not match "
-                    f"{len(self.variables)} variables")
+                    f"{len(variables)} variables")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent in polynomial")
             c = _coefficient(c)
             if c:
                 clean[exps] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
+        self._set(variables=variables, terms=clean)
 
     @classmethod
     def zero(cls, variables) -> "MultiPoly":
@@ -209,7 +206,7 @@ def parse_poly(text: str, variables) -> MultiPoly:
     return _poly(variables, {e: Fraction(c) for e, c in terms.items() if c})
 
 
-class PolySystem:
+class PolySystem(_Frozen):
     """Finite generating set over a common variable tuple.
 
     Zero generators are dropped and duplicates collapse; input order of
@@ -230,11 +227,7 @@ class PolySystem:
                 raise ArityMismatch("generator over a different variable set")
             if g and g not in seen:
                 seen.append(g)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "generators", tuple(seen))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolySystem is immutable")
+        self._set(variables=variables, generators=tuple(seen))
 
     def __iter__(self):
         return iter(self.generators)

@@ -8,13 +8,12 @@ either exact or reported as a lower bound, never silently truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
 
-from .grothendieck import (_add_terms, _coefficient, _mul_terms, _power_text,
-                           _signed_sum)
+from .grothendieck import (_add_terms, _coefficient, _Frozen, _mul_terms,
+                           _power_text, _signed_sum)
 from .polynomials import (ArityMismatch, MultiPoly, PolySystem, _poly,
                           matrix_minors)
 
@@ -23,7 +22,7 @@ class IndeterminateAtCap(ArithmeticError):
     """The truncation cap is too small to settle the requested order."""
 
 
-class TruncSeries:
+class TruncSeries(_Frozen):
     """Rational coefficients ``c_0 .. c_n`` of a series modulo ``t^(n+1)``."""
 
     __slots__ = ("coeffs",)
@@ -38,10 +37,7 @@ class TruncSeries:
             coeffs += [Fraction(0)] * (cap + 1 - len(coeffs))
         elif not coeffs:
             raise ValueError("need at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
+        self._set(coeffs=tuple(coeffs))
 
     @classmethod
     def monomial(cls, exponent: int, cap: int, coefficient=1) -> "TruncSeries":
@@ -58,14 +54,6 @@ class TruncSeries:
 
     def __bool__(self):
         return any(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, TruncSeries):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def _check_cap(self, other):
         if not isinstance(other, TruncSeries):
@@ -104,7 +92,7 @@ def render_trunc(s: TruncSeries) -> str:
     return f"{body} + {tail}" if body else tail
 
 
-class ArcJet:
+class ArcJet(_Frozen):
     """Tuple of component series sharing one truncation cap."""
 
     __slots__ = ("components",)
@@ -119,10 +107,7 @@ class ArcJet:
                 raise TypeError("components must be TruncSeries")
             if c.cap != cap:
                 raise ArityMismatch("components must share a cap")
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ArcJet is immutable")
+        self._set(components=components)
 
     @classmethod
     def from_coeffs(cls, rows, cap: int) -> "ArcJet":
@@ -135,25 +120,21 @@ class ArcJet:
     def __len__(self):
         return len(self.components)
 
-    def __eq__(self, other):
-        if isinstance(other, ArcJet):
-            return self.components == other.components
-        return NotImplemented
-
     def __repr__(self):
         return f"ArcJet({', '.join(render_trunc(c) for c in self.components)})"
 
 
-@dataclass(frozen=True)
-class SeriesOrder:
+class SeriesOrder(_Frozen):
     """Vanishing order in t, possibly only known as a lower bound.
 
     ``exact`` distinguishes a genuine order from ``at_least(cap + 1)``,
     the report that every coefficient up to the cap vanished.
     """
 
-    value: int
-    exact: bool = True
+    __slots__ = ("value", "exact")
+
+    def __init__(self, value, exact=True):
+        self._set(value=value, exact=exact)
 
     @classmethod
     def at_least(cls, bound: int) -> "SeriesOrder":

@@ -187,6 +187,46 @@ def test_compose_rejects_loose_rational_literals(run, literal):
         f"error: payload.arc[0][1]: bad rational literal {literal!r}")
 
 
+@pytest.fixture(params=[4300, 0])
+def digit_limit(request):
+    """The interpreter's int digit limit: its default, then none at all."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("interpreter has no int digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield request.param
+    sys.set_int_max_str_digits(old)
+
+
+def test_overlong_json_integer_exits_2(tmp_path, capsys, digit_limit):
+    # json.dumps itself would trip the default limit, so splice the text
+    path = tmp_path / "problem.json"
+    doc = json.dumps(problem("compose", {"variables": ["x"], "f": "x",
+                                         "arc": [[0, "ARC"]]}, cap=1))
+    path.write_text(doc.replace('"ARC"', LONG_LITERAL), encoding="utf-8")
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: problem: invalid JSON: integer literal "
+                            "longer than 4300 digits\n")
+    # 4,300 digits are read whatever the interpreter's limit
+    path.write_text(doc.replace('"ARC"', LONG_LITERAL[:4300]),
+                    encoding="utf-8")
+    assert main([str(path)]) == 0
+    assert capsys.readouterr().out == f"{LONG_LITERAL[:4300]}*t + O(t^2)\n"
+
+
+@pytest.mark.parametrize("literal", [LONG_LITERAL, f"1/{LONG_LITERAL}"],
+                         ids=["integer", "denominator"])
+def test_compose_rejects_overlong_arc_literal(run, digit_limit, literal):
+    code, out, err = run(problem("compose",
+                                 {"variables": ["x"], "f": "x",
+                                  "arc": [[0, literal]]}, cap=1))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: payload.arc[0][1]: bad rational literal")
+
+
 # ---------------------------------------------------------------------------
 # measure / integrate
 
@@ -360,6 +400,14 @@ def test_compare_rejects_term_below_literal_floor(run):
     assert code == 2
     assert out == ""
     assert "payload.left" in err and "offset 0" in err
+
+
+def test_compare_literal_offsets_count_from_the_raw_text(run):
+    code, out, err = run(problem("compare", {"left": "  u +", "right": "u"}))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        "error: payload.left: unexpected end of input at offset 5")
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,17 @@ def test_parse_rejects_minus_before_o_term():
         assert info.value.offset == offset, text
 
 
+def test_parse_offsets_count_from_the_raw_text():
+    # leading blanks count, as in parse_poly; trailing blanks are dropped
+    for text, offset in (("  u +", 5), ("  u +  ", 5), ("\tu @", 3),
+                         (" u - O(u^-3)", 3), ("\nu", 0)):
+        with pytest.raises(RingParseError) as info:
+            parse_motive(text)
+        assert info.value.offset == offset, text
+    assert parse_motive("  u - 1 \n") == parse_motive("u - 1")
+    assert parse_motive(" u + O(u^-3)\t") == MotiveSeries({1: 1}, -3)
+
+
 @given(laurents)
 @settings(max_examples=300)
 def test_poly_render_round_trip(p):

@@ -1,0 +1,111 @@
+"""The package surface: lazy exports and the one immutable-value base."""
+
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import arcmeasure
+from arcmeasure import (ArcJet, BoundednessVerdict, CylinderDescriptor,
+                        MeasurableDescriptor, MotiveSeries, PolySystem,
+                        ResolutionData, ResolutionDiagram, SeriesOrder,
+                        StableSetDescriptor, TheoremReport, TruncSeries,
+                        parse_poly)
+from arcmeasure.measure import SNCStratum
+
+
+@pytest.mark.parametrize("name", arcmeasure.__all__)
+def test_export_is_the_defining_modules_object(name):
+    module = importlib.import_module(
+        f"arcmeasure.{arcmeasure._EXPORTS[name]}")
+    assert getattr(arcmeasure, name) is getattr(module, name)
+    assert name in dir(arcmeasure)
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from arcmeasure import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(set(arcmeasure.__all__))
+    assert len(set(arcmeasure.__all__)) == len(arcmeasure.__all__)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        arcmeasure.no_such_name
+
+
+def test_cli_import_loads_no_unused_module():
+    src = Path(arcmeasure.__file__).resolve().parents[1]
+    code = ("import sys, arcmeasure.cli; print(sorted(m for m in "
+            "('arcmeasure.descriptors', 'arcmeasure.catalog', 'dataclasses')"
+            " if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def _stratum():
+    return SNCStratum("E", [0], MotiveSeries({1: 1, 0: 1}), 2)
+
+
+def _stable():
+    return StableSetDescriptor(level=1, class_at_level=MotiveSeries.one(),
+                               ambient_dim=1)
+
+
+VALUES = {
+    "SNCStratum": _stratum,
+    "ResolutionData": lambda: ResolutionData([_stratum()], [[1]]),
+    "ResolutionDiagram": lambda: ResolutionDiagram([_stratum()], [[1]],
+                                                   [[0]]),
+    "SeriesOrder": lambda: SeriesOrder.at_least(4),
+    "BoundednessVerdict": lambda: BoundednessVerdict(
+        True, False, witness_below=("E", (1,))),
+    "TheoremReport": lambda: TheoremReport(
+        "Inconclusive", (("h", "fail", "d"),), {"witness": None}),
+    "StableSetDescriptor": _stable,
+    "CylinderDescriptor": lambda: CylinderDescriptor(2, MotiveSeries.one(),
+                                                     1),
+    "MeasurableDescriptor": lambda: MeasurableDescriptor(((_stable(), -3),)),
+    "MotiveSeries": lambda: MotiveSeries({1: 1}, -3),
+    "MultiPoly": lambda: parse_poly("x*y + 1/2", ["x", "y"]),
+    "TruncSeries": lambda: TruncSeries([1, 2], 3),
+    "ArcJet": lambda: ArcJet.from_coeffs([[0, 1], [1]], 2),
+    "PolySystem": lambda: PolySystem(["x"], [parse_poly("x", ["x"])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_values_are_immutable_and_compare_by_fields(name):
+    a, b = VALUES[name](), VALUES[name]()
+    assert type(a).__name__ == name and a is not b
+    field = type(a).__slots__[0]
+    with pytest.raises(AttributeError, match=f"{name} is immutable"):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError, match=f"{name} is immutable"):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b and not a != b
+    try:
+        assert hash(a) == hash(b)
+    except TypeError:  # no hash, or a dict among the fields
+        assert name in ("PolySystem", "TheoremReport")
+
+
+def test_reprs_keep_the_field_format():
+    assert repr(VALUES["BoundednessVerdict"]()) == (
+        "BoundednessVerdict(bounded_above=True, bounded_below=False, "
+        "witness_above=None, witness_below=('E', (1,)))")
+    assert repr(VALUES["CylinderDescriptor"]()) == (
+        "CylinderDescriptor(level=2, base_class=MotiveSeries('1'), "
+        "ambient_dim=1, nonsingular_ambient=True)")
+
+
+def test_equality_needs_the_same_type():
+    verdict = VALUES["BoundednessVerdict"]()
+    assert verdict != (True, False, None, ("E", (1,)))
+    assert SeriesOrder(3) != SeriesOrder(3, exact=False)
