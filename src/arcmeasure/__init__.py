@@ -15,16 +15,17 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {name: module for module, names in (
-    ("analysis", "DEFAULT_REPORT_FLOOR BoundednessVerdict Conclusion "
-     "TheoremReport check_boundedness inner_lipschitz_probe "
-     "inverse_mapping_report measure_comparison_report ord_jac_f"),
+    ("analysis", "BoundednessVerdict Conclusion TheoremReport "
+     "check_boundedness inner_lipschitz_probe inverse_mapping_report "
+     "measure_comparison_report ord_jac_f"),
     ("descriptors", "CylinderDescriptor InsufficientApproximants "
      "MeasurableDescriptor SingularAmbient StableSetDescriptor "
      "disjoint_union_measure measure_cylinder measure_measurable "
      "measure_stable re_level stable_dim"),
-    ("grothendieck", "NEG_INF ONE U ZERO BoundViolated LaurentPoly "
-     "MotiveSeries Order PrecisionExhausted RingParseError geometric_sum "
-     "leq_order limit_of_sequence parse_motive render virtual_dim"),
+    ("grothendieck", "DEFAULT_FLOOR NEG_INF ONE U ZERO BoundViolated "
+     "LaurentPoly MotiveSeries Order PrecisionExhausted RingParseError "
+     "geometric_sum leq_order limit_of_sequence parse_motive render "
+     "virtual_dim"),
     ("measure", "BadContact DivergentExponent IndexMismatch "
      "MultiplicityVector ResolutionData ResolutionDiagram SNCStratum "
      "compare_germ_measures contact_stratum_measure germ_measure "

@@ -14,12 +14,9 @@ to Inconclusive with the failing certificate attached.
 
 from __future__ import annotations
 
-from .grothendieck import Order, _Frozen, leq_order, render
+from .grothendieck import DEFAULT_FLOOR, Order, _Frozen, leq_order, render
 from .measure import ResolutionDiagram, image_measure, ord_jac_on_stratum
 from .series import matrix_entry_orders
-
-# where the image measure certificate's printed tail stops by default
-DEFAULT_REPORT_FLOOR = -16
 
 
 class Conclusion:
@@ -144,7 +141,7 @@ def _bound_hypothesis(verdict, side, hypotheses, certificates):
 
 
 def inverse_mapping_report(diagram: ResolutionDiagram, mu_x, mu_y,
-                           floor=DEFAULT_REPORT_FLOOR) -> TheoremReport:
+                           floor=DEFAULT_FLOOR) -> TheoremReport:
     """Certify that the inverse of a measure-preserving map behaves.
 
     Requires equality of the two germ measures and a Jacobian bounded
@@ -221,16 +218,16 @@ def measure_comparison_report(diagram: ResolutionDiagram, mu_x, mu_y
                          certificates)
 
 
-def inner_lipschitz_probe(entries, arcs) -> BoundednessVerdict:
+def inner_lipschitz_probe(entries, arcs) -> int | None:
     """Sample the entrywise Jacobian bound along supplied test arcs.
 
     ``entries`` are the chart Jacobian matrix entries, polynomials or
-    (numerator, denominator) pairs.  A probed arc with negative matrix
-    order disproves boundedness above and is returned as the witness.
-    All probes nonnegative is evidence only, not a proof: this is a
-    sampling semi-decision, and arcs must avoid the loci where the
-    entries are undefined.  The below flag is not probed here; the
-    entrywise criterion only concerns the upper bound.
+    (numerator, denominator) pairs.  Returns the index of the first arc
+    along which some entry has negative exact order, which disproves
+    boundedness above, or ``None`` when every probe is nonnegative.
+    ``None`` is evidence only, not a verdict: this is a sampling
+    semi-decision, and arcs must avoid the loci where the entries are
+    undefined.  Certified bounds come from :func:`check_boundedness`.
     """
     arcs = list(arcs)
     if not arcs:
@@ -239,7 +236,5 @@ def inner_lipschitz_probe(entries, arcs) -> BoundednessVerdict:
         order = matrix_entry_orders(entries, arc)
         # an inexact result is a bound >= 1, so only exact orders disprove
         if order.exact and order.value < 0:
-            return BoundednessVerdict(
-                bounded_above=False, bounded_below=True,
-                witness_above=("arc", idx))
-    return BoundednessVerdict(bounded_above=True, bounded_below=True)
+            return idx
+    return None

@@ -3,9 +3,10 @@
 Problems arrive as JSON files with a ``schema`` version, a ``kind`` and
 a payload; results go to stdout in a canonical text or JSON form that
 is byte-stable across runs.  Exit codes: 0 for a conclusive result, 2
-for malformed input, 3 for a divergent integral, 4 for an inconclusive
-report, 5 when a literal measure's floor cannot settle a comparison;
-``--floor`` only sets where printed tails stop.
+for malformed input (a usage error, or a message that starts with the
+offending field's path), 3 for a divergent integral, 4 for an
+inconclusive report, 5 when a literal measure's floor cannot settle a
+comparison; ``--floor`` only sets where printed tails stop.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .analysis import (Conclusion, inverse_mapping_report,
                        measure_comparison_report)
-from .grothendieck import (_MAX_DIGITS, NEG_INF, ParseError,
+from .grothendieck import (_MAX_DIGITS, DEFAULT_FLOOR, NEG_INF, ParseError,
                            PrecisionExhausted, _int, parse_motive, render,
                            virtual_dim)
 from .measure import (DivergentExponent, ResolutionData, ResolutionDiagram,
@@ -29,7 +30,6 @@ from .polynomials import (ConstantInput, PolySystem,
 from .series import ArcJet, compose, jet_equations, render_trunc
 
 SCHEMA_VERSION = 1
-DEFAULT_FLOOR = -16
 DEFAULT_CAP = 12
 
 
@@ -251,11 +251,11 @@ def _load_problem(path):
             doc = json.load(fh, parse_int=lambda t: _int(t, 0, "digits"))
     except OSError as exc:
         raise SchemaError("problem", f"cannot read file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise SchemaError("problem", f"invalid JSON: {exc}")
     except ParseError:  # the only one _int raises on a JSON integer
         raise SchemaError("problem", "invalid JSON: integer literal longer "
                           f"than {_MAX_DIGITS} digits")
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise SchemaError("problem", f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise SchemaError("problem", "expected a JSON object")
     schema = _get(doc, "problem", "schema", int, "an integer")
@@ -313,9 +313,6 @@ def main(argv=None) -> int:
     except DivergentExponent as exc:
         print(f"error: divergent integral: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except LiteralLimit as exc:
         print(f"error: precision exhausted: {exc}", file=sys.stderr)
         print(f"hint: {exc.path} is a literal known only above "

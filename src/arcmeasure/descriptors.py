@@ -10,8 +10,7 @@ verifies set containment, which is the caller's geometry.
 
 from __future__ import annotations
 
-from .grothendieck import (MotiveSeries, _check_int, _Frozen, parse_motive,
-                           render, virtual_dim)
+from .grothendieck import MotiveSeries, _check_int, _Frozen, virtual_dim
 
 
 class SingularAmbient(ValueError):
@@ -38,19 +37,6 @@ class StableSetDescriptor(_Frozen):
             raise ValueError("ambient dimension must be positive")
         self._set(level=level, class_at_level=class_at_level,
                   ambient_dim=ambient_dim)
-
-    def to_json(self) -> dict:
-        return {"level": self.level,
-                "class": render(self.class_at_level),
-                "dim": self.ambient_dim}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StableSetDescriptor":
-        cls_poly = parse_motive(data["class"])
-        if not cls_poly.is_exact():
-            raise ValueError("descriptor class must be an exact polynomial")
-        return cls(level=data["level"], class_at_level=cls_poly,
-                   ambient_dim=data["dim"])
 
 
 def measure_stable(a: StableSetDescriptor) -> MotiveSeries:
@@ -115,7 +101,8 @@ class MeasurableDescriptor(_Frozen):
     __slots__ = ("approximants",)
 
     def __init__(self, approximants):
-        # an empty list is a legal descriptor; it just cannot be measured
+        # an empty tuple is a legal descriptor; it just cannot be measured
+        approximants = tuple(approximants)
         bounds = [b for _, b in approximants]
         for m0, m1 in zip(bounds, bounds[1:]):
             if m1 >= m0:
@@ -135,18 +122,14 @@ class MeasurableDescriptor(_Frozen):
 def measure_measurable(m: MeasurableDescriptor, floor: int) -> MotiveSeries:
     """Measure to the requested precision floor.
 
-    Uses the last approximant whose declared error dimension bound is at
-    or below the floor.  Coefficients above the floor agree for every
-    such approximant, so the choice does not change the result.
+    The bounds strictly decrease, so the final approximant's bound is at
+    or below the floor whenever any bound is, and it is the one used.
+    Coefficients above the floor agree for every such approximant.
     """
-    chosen = None
-    for a, bound in m.approximants:
-        if bound <= floor:
-            chosen = a
-    if chosen is None:
+    if not m.approximants or m.approximants[-1][1] > floor:
         raise InsufficientApproximants(
             f"no approximant with error bound <= {floor}")
-    return measure_stable(chosen).with_floor(floor)
+    return measure_stable(m.approximants[-1][0]).with_floor(floor)
 
 
 def disjoint_union_measure(parts, floor: int) -> MotiveSeries:

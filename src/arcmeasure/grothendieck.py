@@ -21,11 +21,13 @@ zero and as the floor of exact series.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from operator import add
 
 NEG_INF = float("-inf")
+DEFAULT_FLOOR = -16  # where a computed measure's printed tail stops
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -519,7 +521,10 @@ def _power_text(name: str, k: int) -> str:
     # ``name`` to the power k as printed in a term; "" for k = 0
     if k == 0:
         return ""
-    return name if k == 1 else f"{name}^{k}"
+    try:
+        return name if k == 1 else f"{name}^{k}"
+    except ValueError:  # over the interpreter's int digit limit
+        return f"{name}^{_number_text(k)}"
 
 
 def _signed_sum(terms) -> str:
@@ -528,17 +533,20 @@ def _signed_sum(terms) -> str:
     The coefficients are nonzero ints or Fractions in print order; an
     empty monomial text stands for the constant term, and a coefficient
     of magnitude 1 is left off a nonconstant monomial.  Shared by every
-    canonical text form of the package.
+    canonical text form of the package; numbers of any length print.
     """
     parts = []
     for c, mono in terms:
         mag = abs(c)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
+        try:
+            if not mono:
+                body = str(mag)
+            elif mag == 1:
+                body = mono
+            else:
+                body = f"{mag}*{mono}"
+        except ValueError:  # over the interpreter's int digit limit
+            body = f"{_number_text(mag)}*{mono}" if mono else _number_text(mag)
         if parts:
             parts.append(f" - {body}" if c < 0 else f" + {body}")
         else:
@@ -559,7 +567,7 @@ def render(a) -> str:
                         for e in sorted(terms, reverse=True)])
     if floor == NEG_INF:
         return body or "0"
-    o_term = f"O(u^{int(floor)})"
+    o_term = f"O(u^{_number_text(int(floor))})"
     return f"{body} + {o_term}" if body else o_term
 
 
@@ -605,6 +613,17 @@ def _int(text, offset, what):
         chunk = digits[i:i + 640]
         value = value * 10 ** len(chunk) + int(chunk)
     return -value if text.startswith("-") else value
+
+
+def _number_text(n):
+    """``str(n)`` of an int or a Fraction, past any int digit limit.
+
+    ``Decimal`` ignores ``sys.set_int_max_str_digits``, so a result
+    prints the same text under every setting.
+    """
+    if n.denominator != 1:
+        return f"{_number_text(n.numerator)}/{_number_text(n.denominator)}"
+    return str(Decimal(n.numerator))
 
 
 def _unexpected(s, pos):

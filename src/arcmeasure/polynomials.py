@@ -297,18 +297,25 @@ def jacobian_minors(fs, ambient_dim: int, variety_dim: int) -> PolySystem:
         raise ArityMismatch(
             f"polynomials have {len(variables)} variables, "
             f"ambient dimension is {ambient_dim}")
-    jac = [[f.diff(j) for j in range(ambient_dim)] for f in fs]
-    return PolySystem(variables, matrix_minors(jac, codim))
+    return _jacobian_ideal(fs, codim)
+
+
+def _jacobian_ideal(fs, size: int) -> PolySystem:
+    """Every ``size x size`` minor of the matrix of partials of ``fs``."""
+    variables = fs[0].variables
+    jac = [[f.diff(j) for j in range(len(variables))] for f in fs]
+    return PolySystem(variables, matrix_minors(jac, size))
 
 
 def hypersurface_singular_ideal(f: MultiPoly) -> PolySystem:
     """Generators cutting out the singular locus of a hypersurface.
 
-    For one defining equation these are just the partial derivatives.
-    Higher-codimension input needs user-supplied generators instead; a
+    For one defining equation these are just the partial derivatives,
+    the codimension-1 case of :func:`jacobian_minors`.  Higher
+    codimension input needs user-supplied generators instead; a
     constant polynomial has no hypersurface attached and is rejected.
     """
     if f.is_constant():
         raise ConstantInput("defining polynomial must be nonconstant")
-    partials = [f.diff(j) for j in range(len(f.variables))]
-    return PolySystem(f.variables, partials)
+    n = len(f.variables)
+    return jacobian_minors([f], n, n - 1)

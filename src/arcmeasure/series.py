@@ -13,9 +13,9 @@ from math import lcm
 from operator import add
 
 from .grothendieck import (_add_terms, _coefficient, _Frozen, _mul_terms,
-                           _power_text, _signed_sum)
-from .polynomials import (ArityMismatch, MultiPoly, PolySystem, _poly,
-                          matrix_minors)
+                           _number_text, _power_text, _signed_sum)
+from .polynomials import (ArityMismatch, MultiPoly, PolySystem,
+                          _jacobian_ideal, _poly, matrix_minors)
 
 
 class IndeterminateAtCap(ArithmeticError):
@@ -88,7 +88,7 @@ def render_trunc(s: TruncSeries) -> str:
     """Ascending powers of t, explicit cap: ``t^2 - t^3 + O(t^4)``."""
     body = _signed_sum([(c, _power_text("t", e))
                         for e, c in enumerate(s.coeffs) if c])
-    tail = f"O(t^{s.cap + 1})"
+    tail = f"O(t^{_number_text(s.cap + 1)})"
     return f"{body} + {tail}" if body else tail
 
 
@@ -366,18 +366,13 @@ def ord_jac_along(sigma, arc: ArcJet, d: int) -> SeriesOrder:
     sigma = list(sigma)
     if not sigma:
         raise ArityMismatch("empty map")
-    variables = sigma[0].variables
-    source_dim = len(variables)
-    if len(arc) != source_dim:
+    if len(arc) != len(sigma[0].variables):
         raise ArityMismatch("arc does not live in the source space")
-    if d < 1 or d > source_dim or d > len(sigma):
-        raise ArityMismatch(f"no {d}x{d} minors for this map")
-    jac = [[comp.diff(j) for j in range(source_dim)] for comp in sigma]
-    minors = PolySystem(variables, matrix_minors(jac, d))
+    minors = _jacobian_ideal(sigma, d)
     if not len(minors):
         # every minor is the zero polynomial
         return SeriesOrder.at_least(arc.cap + 1)
-    return min_series_order(series_order(compose(m, arc)) for m in minors)
+    return arc_level(arc, minors)
 
 
 # Former name of polynomials.matrix_minors, still looked up by the

@@ -189,7 +189,8 @@ def test_compose_rejects_loose_rational_literals(run, literal):
 
 @pytest.fixture(params=[4300, 0])
 def digit_limit(request):
-    """The interpreter's int digit limit: its default, then none at all."""
+    """The interpreter's int digit limit, by default its default and then
+    none at all; restored afterwards."""
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("interpreter has no int digit limit")
     old = sys.get_int_max_str_digits()
@@ -225,6 +226,42 @@ def test_compose_rejects_overlong_arc_literal(run, digit_limit, literal):
     assert code == 2
     assert out == ""
     assert err.startswith("error: payload.arc[0][1]: bad rational literal")
+
+
+# results longer than any int digit limit print in full: 640 is the lowest
+# limit the interpreter accepts, and str() of a 700-digit int fails there;
+# the expected texts are spelled out, as str() cannot make them either
+N3000 = "9" * 3000
+N3000_SQUARED = "9" * 2999 + "8" + "0" * 2999 + "1"  # (10^n - 1)^2
+K700, K700_LESS_1 = "8" * 700, "8" * 699 + "7"
+K700_MORE_1 = "8" * 699 + "9"
+
+
+LONG_MEASURE = f"u^-{K700} + O(u^-{K700_MORE_1})"
+
+
+@pytest.mark.parametrize("digit_limit", [4300, 640], indirect=True)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("doc, text, shown", [
+    (problem("compose", {"variables": ["x"], "f": "x^2",
+                         "arc": [[0, N3000]]}, cap=2),
+     f"{N3000_SQUARED}*t^2 + O(t^3)", None),
+    (problem("compose", {"variables": ["x"], "f": "x",
+                         "arc": [[f"1/{N3000}"]]}, cap=0),
+     f"1/{N3000} + O(t^1)", None),
+    (problem("hx", {"variables": ["x"], "f": f"x^{K700}"}),
+     f"{K700}*x^{K700_LESS_1}", None),
+    (problem("compare", {"left": LONG_MEASURE, "right": "u^-1"}),
+     "Less", LONG_MEASURE),
+], ids=["compose-coefficient", "compose-denominator", "hx-exponent",
+        "compare-literal"])
+def test_results_of_any_size_print(run, digit_limit, fmt, doc, text, shown):
+    code, out, err = run(doc, "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "text":
+        assert out == text + "\n"
+    else:
+        assert json.dumps(shown or text) in out
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +564,61 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     code = main([str(path)])
     assert code == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_non_utf8_file_exits_2_with_path(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"schema": 1, "kind": "jets\xff"}')
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: problem: invalid JSON: 'utf-8' codec "
+                            "can't decode byte 0xff in position 27: "
+                            "invalid start byte\n")
+
+
+def test_deeply_nested_file_exits_2_with_path(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: problem: invalid JSON: maximum "
+                                   "recursion depth exceeded")
+
+
+USAGE = """\
+usage: arcmeasure [-h] [--floor FLOOR] [--cap CAP] [--format {text,json}]
+                  [problem]
+"""
+
+HELP = USAGE + """
+arc-space measure calculus on problem files
+
+positional arguments:
+  problem               JSON problem file
+
+options:
+  -h, --help            show this help message and exit
+  --floor FLOOR         precision floor (default -16)
+  --cap CAP             series truncation cap (default 12)
+  --format {text,json}
+"""
+
+
+def test_help_text_is_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (HELP, "")
+
+
+def test_usage_error_is_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([]) == 2
+    assert capsys.readouterr() == (
+        "", USAGE + "error: a problem file is required\n")
 
 
 def test_unknown_kind_exits_2(run):

@@ -71,25 +71,11 @@ def test_stable_dim_formula():
     assert virtual_dim(measure_stable(a)) == stable_dim(a)
 
 
-def test_stable_descriptor_json_round_trip():
-    a = StableSetDescriptor(2, parse_motive("u^4 - u^2"), 2)
-    assert StableSetDescriptor.from_json(a.to_json()) == a
-    assert a.to_json() == {"level": 2, "class": "u^4 - u^2", "dim": 2}
-
-
-def test_descriptor_json_rejects_series_class():
-    with pytest.raises(ValueError):
-        StableSetDescriptor.from_json(
-            {"level": 1, "class": "u + O(u^-3)", "dim": 1})
-
-
 @pytest.mark.parametrize("bad", [1.9, 1.0, True, "1", None])
 @pytest.mark.parametrize("field", ["level", "dim"])
 def test_descriptor_rejects_non_int_level_and_dim(field, bad):
     # these were truncated or accepted: level 1.9 built level 1
-    data = {"level": 1, "class": "u", "dim": 1, field: bad}
-    with pytest.raises(TypeError):
-        StableSetDescriptor.from_json(data)
+    data = {"level": 1, "dim": 1, field: bad}
     with pytest.raises(TypeError):
         StableSetDescriptor(data["level"], mono(1), data["dim"])
     with pytest.raises(TypeError):
@@ -148,6 +134,17 @@ def test_measurable_empty_list():
     m = MeasurableDescriptor(())
     with pytest.raises(InsufficientApproximants):
         measure_measurable(m, -5)
+
+
+def test_measurable_accepts_any_iterable_and_hashes():
+    a = StableSetDescriptor(0, LaurentPoly.one(), 1)
+    b = StableSetDescriptor(1, mono(1), 1)
+    pairs = [(a, -3), (b, -6)]
+    m = MeasurableDescriptor(x for x in pairs)
+    assert m == MeasurableDescriptor(pairs)
+    assert hash(m) == hash(MeasurableDescriptor(pairs))
+    assert measure_measurable(m, -5) == measure_measurable(
+        MeasurableDescriptor(pairs), -5) == MotiveSeries({-1: 1}, -5)
 
 
 def test_measurable_bounds_must_decrease():

@@ -211,6 +211,8 @@ def test_singular_ideal_umbrella_is_z_axis():
     out = hypersurface_singular_ideal(f)
     expected = [P(t, XYZ) for t in ("2*x", "-2*y*z", "-y^2")]
     assert out == PolySystem(XYZ, expected)
+    assert out.generators == tuple(expected)  # partials in variable order
+    assert out.generators == jacobian_minors([f], 3, 2).generators
     for z in (-3, 0, 2, 7):
         axis = {"x": 0, "y": 0, "z": Fraction(z)}
         assert all(g.evaluate(axis) == 0 for g in out)

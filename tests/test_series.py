@@ -362,6 +362,24 @@ def test_ord_jac_along_identity():
     assert ord_jac_along(sigma, jet([[3, 1], [0, 2]], 1), 2) == SeriesOrder(0)
 
 
+@pytest.mark.parametrize("components, d", [
+    (["x", "y"], 0),
+    (["x*y"], 2),             # more than the one row
+    (["x", "y", "x + y"], 3),  # more than the two columns
+])
+def test_ord_jac_along_needs_minors_of_size_d(components, d):
+    sigma = [P(c) for c in components]
+    with pytest.raises(ArityMismatch):
+        ord_jac_along(sigma, jet([[0, 1], [0, 1]], 2), d)
+
+
+def test_ord_jac_along_constant_map_has_no_finite_order():
+    # every minor is the zero polynomial: only a bound past the cap
+    sigma = [P("1"), P("2")]
+    assert ord_jac_along(sigma, jet([[0, 1], [1]], 3), 1) \
+        == SeriesOrder.at_least(4)
+
+
 def test_ord_jac_chain_additivity():
     """Composites of blow-up charts add their Jacobian orders."""
     sigma = [P("x"), P("x*y")]          # one chart
