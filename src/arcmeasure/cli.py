@@ -201,8 +201,7 @@ def _run_compare(payload, options):
     except PrecisionExhausted as exc:
         raise LiteralLimit(exc, [("payload.left", left),
                                  ("payload.right", right)])
-    return 0, order, {"order": order,
-                      "left": render(left), "right": render(right)}
+    return 0, order, {"order": order, "left": left, "right": right}
 
 
 def _run_check_map(payload, options):
@@ -244,6 +243,19 @@ KINDS = tuple(_HANDLERS)
 
 
 # ---------------------------------------------------------------------------
+
+def _json_text(obj):
+    """Indented JSON of ``obj``: series as render text, ints in full."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, default=render)
+    except ValueError:  # an int over the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return json.dumps(obj, indent=2, sort_keys=True, default=render)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 def _load_problem(path):
     try:
@@ -320,11 +332,8 @@ def main(argv=None) -> int:
               f"that operand more terms", file=sys.stderr)
         return 5
 
-    if args.format == "json":
-        obj = {"schema": SCHEMA_VERSION, "kind": kind, **obj}
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print(text)
+    print(text if args.format == "text" else
+          _json_text({"schema": SCHEMA_VERSION, "kind": kind, **obj}))
     return code
 
 

@@ -519,39 +519,25 @@ def limit_of_sequence(seq, bounds) -> MotiveSeries:
 
 def _power_text(name: str, k: int) -> str:
     # ``name`` to the power k as printed in a term; "" for k = 0
-    if k == 0:
-        return ""
-    try:
-        return name if k == 1 else f"{name}^{k}"
-    except ValueError:  # over the interpreter's int digit limit
-        return f"{name}^{_number_text(k)}"
+    return f"{name}^{_number_text(k)}" if k < 0 or k > 1 else name * k
 
 
-def _signed_sum(terms) -> str:
-    """``c1*m1 - c2*m2 + ...`` from ``(coefficient, monomial)`` pairs.
+def _signed_sum(coeffs, monos, number=abs) -> str:
+    """``c1*m1 - c2*m2 + ...``, the term rule of every canonical text.
 
-    The coefficients are nonzero ints or Fractions in print order; an
-    empty monomial text stands for the constant term, and a coefficient
-    of magnitude 1 is left off a nonconstant monomial.  Shared by every
-    canonical text form of the package; numbers of any length print.
+    Coefficients are nonzero ints or Fractions in print order, one per
+    monomial text; an empty monomial is the constant term, and magnitude
+    1 is left off a nonconstant monomial.  A term prints ``number(c)``,
+    or past the interpreter's int digit limit ``_number_text(abs(c))``.
     """
-    parts = []
-    for c, mono in terms:
-        mag = abs(c)
-        try:
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-        except ValueError:  # over the interpreter's int digit limit
-            body = f"{_number_text(mag)}*{mono}" if mono else _number_text(mag)
-        if parts:
-            parts.append(f" - {body}" if c < 0 else f" + {body}")
-        else:
-            parts.append(f"-{body}" if c < 0 else body)
-    return "".join(parts)
+    try:
+        text = "".join([
+            f"{' - ' if c < 0 else ' + '}{x}*{m}" if m and c != 1 and c != -1
+            else f"{' - ' if c < 0 else ' + '}{m or x}"
+            for c, x, m in zip(coeffs, map(number, coeffs), monos)])
+    except ValueError:  # over the interpreter's int digit limit
+        return _signed_sum(coeffs, monos, lambda c: _number_text(abs(c)))
+    return f"-{text[3:]}" if text[1:2] == "-" else text[3:]
 
 
 def render(a) -> str:
@@ -562,13 +548,20 @@ def render(a) -> str:
     """
     if not isinstance(a, MotiveSeries):
         raise TypeError(f"cannot render {type(a)!r}")
-    terms, floor = a.terms, a.floor
-    body = _signed_sum([(terms[e], _power_text("u", e))
-                        for e in sorted(terms, reverse=True)])
+    return _series_text("u", a.terms, sorted(a.terms, reverse=True), a.floor)
+
+
+def _series_text(name, terms, exps, floor):
+    """``terms[e]*name^e`` for e in ``exps``, O tail at a finite ``floor``."""
+    try:  # the texts of _power_text, faster
+        monos = [f"{name}^{k}" if k < 0 or k > 1 else name * k for k in exps]
+    except ValueError:  # over the interpreter's int digit limit
+        monos = [_power_text(name, k) for k in exps]
+    body = _signed_sum([terms[e] for e in exps], monos)
     if floor == NEG_INF:
         return body or "0"
-    o_term = f"O(u^{_number_text(int(floor))})"
-    return f"{body} + {o_term}" if body else o_term
+    tail = f"O({name}^{_number_text(int(floor))})"
+    return f"{body} + {tail}" if body else tail
 
 
 class ParseError(ValueError):

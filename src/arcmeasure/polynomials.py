@@ -8,7 +8,7 @@ form shared with the command line tools.
 
 from __future__ import annotations
 
-import itertools
+from itertools import combinations, compress
 from fractions import Fraction
 from operator import add
 
@@ -152,12 +152,6 @@ class MultiPoly(_Frozen):
             total += term
         return total
 
-    def sorted_terms(self):
-        # graded lexicographic, largest first: stable render order
-        return sorted(self.terms.items(),
-                      key=lambda item: (sum(item[0]), item[0]),
-                      reverse=True)
-
     def __repr__(self):
         return f"MultiPoly({render_poly(self)!r}, vars={self.variables})"
 
@@ -177,12 +171,18 @@ def _poly(variables, terms):
 
 def render_poly(p: MultiPoly) -> str:
     """Deterministic text form with explicit ``*`` between factors."""
+    terms = sorted(zip(map(sum, p.terms), p.terms, p.terms.values()),
+                   reverse=True)  # graded lexicographic, largest first
     # an integral coefficient goes in as an int, which prints faster
-    return _signed_sum(
-        [(c.numerator if c.denominator == 1 else c,
-          "*".join([_power_text(name, k)
-                    for name, k in zip(p.variables, exps) if k]))
-         for exps, c in p.sorted_terms()]) or "0"
+    coeffs = [c.numerator if c.denominator == 1 else c for _, _, c in terms]
+    try:  # a factor per variable of nonzero power, in variable order
+        monos = ["*".join([f"{v}^{k}" if k > 1 else v for v, k in
+                           zip(compress(p.variables, e), filter(None, e))])
+                 for _, e, _ in terms]
+    except ValueError:  # over the interpreter's int digit limit
+        monos = ["*".join(filter(None, map(_power_text, p.variables, e)))
+                 for _, e, _ in terms]
+    return _signed_sum(coeffs, monos) or "0"
 
 
 def parse_poly(text: str, variables) -> MultiPoly:
@@ -273,8 +273,8 @@ def matrix_minors(matrix, size: int):
         raise ArityMismatch(
             f"no {size}x{size} minors of a {rows}x{cols} matrix")
     out = []
-    for ri in itertools.combinations(range(rows), size):
-        for ci in itertools.combinations(range(cols), size):
+    for ri in combinations(range(rows), size):
+        for ci in combinations(range(cols), size):
             sub = [[matrix[r][c] for c in ci] for r in ri]
             out.append(poly_det(sub))
     return out

@@ -13,7 +13,7 @@ from math import lcm
 from operator import add
 
 from .grothendieck import (_add_terms, _coefficient, _Frozen, _mul_terms,
-                           _number_text, _power_text, _signed_sum)
+                           _series_text)
 from .polynomials import (ArityMismatch, MultiPoly, PolySystem,
                           _jacobian_ideal, _poly, matrix_minors)
 
@@ -86,10 +86,8 @@ class TruncSeries(_Frozen):
 
 def render_trunc(s: TruncSeries) -> str:
     """Ascending powers of t, explicit cap: ``t^2 - t^3 + O(t^4)``."""
-    body = _signed_sum([(c, _power_text("t", e))
-                        for e, c in enumerate(s.coeffs) if c])
-    tail = f"O(t^{_number_text(s.cap + 1)})"
-    return f"{body} + {tail}" if body else tail
+    exps = [e for e, c in enumerate(s.coeffs) if c]
+    return _series_text("t", s.coeffs, exps, s.cap + 1)
 
 
 class ArcJet(_Frozen):

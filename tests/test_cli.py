@@ -264,6 +264,42 @@ def test_results_of_any_size_print(run, digit_limit, fmt, doc, text, shown):
         assert json.dumps(shown or text) in out
 
 
+# a check-map whose diagram records the witness contact vector (1, A + 1)
+# for a 700-digit A: JSON integers print in full under every limit too
+A700, A700_PLUS_1 = "7" * 700, "7" * 699 + "8"
+LONG_WITNESS_TEXT = """conclusion: Inconclusive
+inverse_mapping:
+  measures_equal: pass (leq_order returned Equal)
+  jacobian_bounded_below: fail (violating contact vector recorded)
+measure_comparison:
+  jacobian_bounded_below: fail (violating contact vector recorded)
+"""
+
+
+@pytest.mark.parametrize("digit_limit", [4300, 640], indirect=True)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_json_integers_of_any_size_print(tmp_path, capsys, digit_limit, fmt):
+    doc = json.dumps(problem("check-map", {
+        "diagram": {"ambient_dim": 2, "strata": [
+            {"name": "E", "index_set": [0, 1], "class": "1",
+             "p_mults": ["A", 0], "q_mults": [0, 1]}]},
+        "mu_x": "u^-1", "mu_y": "u^-1"}))
+    path = tmp_path / "problem.json"
+    path.write_text(doc.replace('"A"', A700), encoding="utf-8")
+    code = main([str(path), "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, err) == (4, "")
+    if fmt == "text":
+        assert out == LONG_WITNESS_TEXT
+        return
+    witness = {"stratum": "E", "contacts": ["1", A700_PLUS_1]}
+    reports = json.loads(out, parse_int=str)["reports"]
+    for name in ("inverse_mapping", "measure_comparison"):
+        certificates = reports[name]["certificates"]
+        assert certificates["witness_below"] == witness
+    assert f"\n            {A700_PLUS_1}\n" in out  # a JSON number
+
+
 # ---------------------------------------------------------------------------
 # measure / integrate
 
@@ -406,6 +442,19 @@ def test_compare_equal_floored_measures_exit_0_equal(run):
                                   "right": {"resolution": CUSP_RES}},
                                  floor=-8))
     assert (code, out, err) == (0, "Equal\n", "")
+
+
+def test_text_compare_renders_only_what_it_prints(run, monkeypatch):
+    def refuse(value):
+        raise AssertionError("an operand was rendered")
+
+    for module in ("cli", "grothendieck", "measure", "analysis"):
+        monkeypatch.setattr(f"arcmeasure.{module}.render", refuse)
+    code, out, err = run(problem("compare",
+                                 {"left": {"resolution": CUSP_RES},
+                                  "right": {"resolution": LINE_RES}},
+                                 floor=-12))
+    assert (code, out, err) == (0, "Less\n", "")
 
 
 def test_compare_literal_floor_names_operand_in_hint(run):

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 from arcmeasure import (NEG_INF, ONE, U, ZERO, ArityMismatch, BoundViolated,
                         LaurentPoly, MotiveSeries, MultiPoly, Order,
-                        PrecisionExhausted, RingParseError, geometric_sum,
-                        leq_order, limit_of_sequence, parse_motive,
-                        parse_poly, render, render_poly, virtual_dim)
+                        PrecisionExhausted, RingParseError, TruncSeries,
+                        geometric_sum, leq_order, limit_of_sequence,
+                        parse_motive, parse_poly, render, render_poly,
+                        render_trunc, virtual_dim)
 
 
 def mono(e, c=1):
@@ -365,6 +367,101 @@ def test_poly_render_round_trip(p):
 def test_series_render_round_trip(p, floor):
     s = MotiveSeries.from_poly(p, floor)
     assert parse_motive(render(s)) == s
+
+
+# ---------------------------------------------------------------------------
+# the three text forms against a naive renderer of the README grammar:
+# terms joined by " + " and " - " (a leading "-" only), a magnitude 1
+# left off a nonconstant monomial, factors name^k with ^1 left off, and
+# an O tail after the terms, alone for a zero series
+
+def naive_sum(terms):
+    """The text of ``(coefficient, [(name, power), ...])`` pairs."""
+    text = ""
+    for c, factors in terms:
+        mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in factors if k)
+        mag = abs(c)
+        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
+        if text:
+            text += f" - {body}" if c < 0 else f" + {body}"
+        else:
+            text = f"-{body}" if c < 0 else body
+    return text
+
+
+def with_tail(body, tail):
+    return f"{body} + {tail}" if body else tail
+
+
+def naive_render(s):
+    body = naive_sum([(s.terms[e], [("u", e)])
+                      for e in sorted(s.terms, reverse=True)])
+    if s.floor == NEG_INF:
+        return body or "0"
+    return with_tail(body, f"O(u^{s.floor})")
+
+
+def naive_render_poly(p):
+    terms = sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]),
+                   reverse=True)
+    return naive_sum([(c, list(zip(p.variables, e)))
+                      for e, c in terms]) or "0"
+
+
+def naive_render_trunc(s):
+    body = naive_sum([(c, [("t", e)]) for e, c in enumerate(s.coeffs) if c])
+    return with_tail(body, f"O(t^{s.cap + 1})")
+
+
+@contextmanager
+def int_digit_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+HUGE = st.integers(10 ** 699, 10 ** 700 - 1)  # 700 digits, past 640
+
+
+def text_values(huge):
+    """Strategies for (series, polynomial, truncated series), zero ones
+    included, with 700-digit coefficients and exponents when ``huge``."""
+    def sized(small, signed=True):
+        if not huge:
+            return small
+        return st.one_of(small, HUGE, *[HUGE.map(int.__neg__)] * signed)
+    ints = sized(st.one_of(st.sampled_from([1, -1]),
+                           st.integers(-99, 99))).filter(bool)
+    rationals = st.one_of(ints, st.builds(Fraction, ints, ints.map(abs)))
+    series = st.builds(
+        MotiveSeries, st.dictionaries(sized(st.integers(-3, 3)), ints,
+                                      max_size=5),
+        st.one_of(st.just(NEG_INF), sized(st.integers(-4, 1))))
+    polys = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 2, sized(st.integers(0, 2), False)),
+        rationals, max_size=5).map(lambda t: MultiPoly(("x", "y", "z"), t))
+    truncs = st.lists(st.one_of(st.just(0), rationals), min_size=1,
+                      max_size=5).map(TruncSeries)
+    return st.tuples(series, polys, truncs)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int digit limit")
+@pytest.mark.parametrize("limit", [4300, 640])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_text_forms_match_a_naive_renderer(limit, data):
+    values = data.draw(text_values(huge=limit == 640))
+    with int_digit_limit(0):  # the naive renderer needs str() of any int
+        expected = [naive_render(values[0]), naive_render_poly(values[1]),
+                    naive_render_trunc(values[2])]
+    with int_digit_limit(limit):
+        texts = [render(values[0]), render_poly(values[1]),
+                 render_trunc(values[2])]
+    assert texts == expected
 
 
 # ---------------------------------------------------------------------------
