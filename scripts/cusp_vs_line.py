@@ -35,7 +35,8 @@ def main() -> int:
     report = measure_comparison_report(catalog.cusp_to_line_diagram(),
                                        cusp, line)
     print("report for the map from the cusp germ to the line germ:")
-    print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    print(json.dumps(report.to_json(), indent=2, sort_keys=True,
+                     default=render))
     return 0
 
 

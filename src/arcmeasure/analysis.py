@@ -14,7 +14,7 @@ to Inconclusive with the failing certificate attached.
 
 from __future__ import annotations
 
-from .grothendieck import DEFAULT_FLOOR, Order, _Frozen, leq_order, render
+from .grothendieck import DEFAULT_FLOOR, Order, _Frozen, leq_order
 from .measure import ResolutionDiagram, image_measure, ord_jac_on_stratum
 from .series import matrix_entry_orders
 
@@ -98,7 +98,11 @@ def check_boundedness(diagram: ResolutionDiagram) -> BoundednessVerdict:
 
 
 class TheoremReport(_Frozen):
-    """Verdict plus the full account of what was checked to reach it."""
+    """Verdict plus the full account of what was checked to reach it.
+
+    Measure certificates are series, rendered only when printed: dump
+    :meth:`to_json` with ``json.dumps(..., default=render)``.
+    """
 
     __slots__ = ("conclusion", "hypotheses_checked", "certificates")
 
@@ -155,7 +159,7 @@ def inverse_mapping_report(diagram: ResolutionDiagram, mu_x, mu_y,
     sets where its printed certificate stops.
     """
     hypotheses = []
-    certificates = {"mu_x": render(mu_x), "mu_y": render(mu_y)}
+    certificates = {"mu_x": mu_x, "mu_y": mu_y}
     verdict = check_boundedness(diagram)
     order = leq_order(mu_x, mu_y)
     certificates["measure_order"] = order
@@ -164,27 +168,19 @@ def inverse_mapping_report(diagram: ResolutionDiagram, mu_x, mu_y,
     hypotheses.append(("measures_equal", "pass" if equal else "fail",
                        f"leq_order returned {order}"))
     bounded = _bound_hypothesis(verdict, "below", hypotheses, certificates)
-    if not (equal and bounded):
-        return TheoremReport(Conclusion.INCONCLUSIVE, tuple(hypotheses),
-                             certificates)
-
-    image = image_measure(diagram, floor)
-    certificates["image_measure"] = render(image)
-    image_order = leq_order(image, mu_y)
-    ok = image_order == Order.EQUAL
-    hypotheses.append(("image_measure_matches_target",
-                       "pass" if ok else "fail",
-                       f"leq_order returned {image_order}"))
-    if not ok:
-        return TheoremReport(Conclusion.INCONCLUSIVE, tuple(hypotheses),
-                             certificates)
-
-    if not _bound_hypothesis(verdict, "above", hypotheses, certificates):
-        return TheoremReport(Conclusion.INCONCLUSIVE, tuple(hypotheses),
-                             certificates)
-
-    return TheoremReport(Conclusion.INVERSE_ARC_ANALYTIC, tuple(hypotheses),
-                         certificates)
+    conclusion = Conclusion.INCONCLUSIVE
+    if equal and bounded:
+        image = image_measure(diagram, floor)
+        certificates["image_measure"] = image
+        image_order = leq_order(image, mu_y)
+        ok = image_order == Order.EQUAL
+        hypotheses.append(("image_measure_matches_target",
+                           "pass" if ok else "fail",
+                           f"leq_order returned {image_order}"))
+        if ok and _bound_hypothesis(verdict, "above", hypotheses,
+                                    certificates):
+            conclusion = Conclusion.INVERSE_ARC_ANALYTIC
+    return TheoremReport(conclusion, tuple(hypotheses), certificates)
 
 
 def measure_comparison_report(diagram: ResolutionDiagram, mu_x, mu_y
@@ -197,25 +193,23 @@ def measure_comparison_report(diagram: ResolutionDiagram, mu_x, mu_y
     glossed over.
     """
     hypotheses = []
-    certificates = {"mu_x": render(mu_x), "mu_y": render(mu_y)}
+    certificates = {"mu_x": mu_x, "mu_y": mu_y}
     verdict = check_boundedness(diagram)
-    if not _bound_hypothesis(verdict, "below", hypotheses, certificates):
-        return TheoremReport(Conclusion.INCONCLUSIVE, tuple(hypotheses),
-                             certificates)
-
-    order = leq_order(mu_x, mu_y)
-    certificates["measure_order"] = order
-    ok = order in (Order.LESS, Order.EQUAL)
-    hypotheses.append(("measures_comparable", "pass" if ok else "fail",
-                       f"leq_order returned {order}"))
-    if not ok:
-        certificates["contradiction"] = (
-            "source measure exceeds target measure although the Jacobian "
-            "is bounded below; the supplied data is inconsistent")
-        return TheoremReport(Conclusion.INCONCLUSIVE, tuple(hypotheses),
-                             certificates)
-    return TheoremReport(Conclusion.MEASURE_INEQUALITY, tuple(hypotheses),
-                         certificates)
+    conclusion = Conclusion.INCONCLUSIVE
+    if _bound_hypothesis(verdict, "below", hypotheses, certificates):
+        order = leq_order(mu_x, mu_y)
+        certificates["measure_order"] = order
+        ok = order in (Order.LESS, Order.EQUAL)
+        hypotheses.append(("measures_comparable", "pass" if ok else "fail",
+                           f"leq_order returned {order}"))
+        if ok:
+            conclusion = Conclusion.MEASURE_INEQUALITY
+        else:
+            certificates["contradiction"] = (
+                "source measure exceeds target measure although the "
+                "Jacobian is bounded below; the supplied data is "
+                "inconsistent")
+    return TheoremReport(conclusion, tuple(hypotheses), certificates)
 
 
 def inner_lipschitz_probe(entries, arcs) -> int | None:

@@ -246,13 +246,20 @@ KINDS = tuple(_HANDLERS)
 
 def _json_text(obj):
     """Indented JSON of ``obj``: series as render text, ints in full."""
+    texts = {}  # id -> text: a series is rendered once, retry included
+
+    def text(series):
+        if id(series) not in texts:
+            texts[id(series)] = render(series)
+        return texts[id(series)]
+
     try:
-        return json.dumps(obj, indent=2, sort_keys=True, default=render)
+        return json.dumps(obj, indent=2, sort_keys=True, default=text)
     except ValueError:  # an int over the interpreter's digit limit
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            return json.dumps(obj, indent=2, sort_keys=True, default=render)
+            return json.dumps(obj, indent=2, sort_keys=True, default=text)
         finally:
             sys.set_int_max_str_digits(limit)
 

@@ -163,10 +163,10 @@ class MotiveSeries(_Frozen):
     represented element never exceeds ``max(top, floor)``.  Instances
     are treated as immutable.
 
-    ``closed_form`` is ``(N, ks)`` on a series expanded from the exact
-    ``N / prod(1 - u^-k for k in ks)``, else ``None``.  Operators and
-    :meth:`with_floor` drop it; ``==``, ``hash`` and :func:`render`
-    ignore it.
+    ``closed_form`` is ``(N, ks)`` on the exact ``N / prod(1 - u^-k for
+    k in ks)``, else ``None``; such a series expands it into ``terms``
+    when they are first read.  Operators and :meth:`with_floor` drop it; ``==``,
+    ``hash`` and :func:`render` ignore it.
 
     Example::
 
@@ -223,6 +223,13 @@ class MotiveSeries(_Frozen):
         if top == NEG_INF:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.terms[top]
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the terms of a closed form
+        if name != "terms":
+            raise AttributeError(f"no attribute {name!r}")
+        self._set(terms=_expand(*self.closed_form, self.floor))
+        return self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -354,16 +361,11 @@ def _times_denominator(n, ks):
 
 
 def _expand_rational(parts, floor):
-    """The sum of the closed forms ``parts``, expanded down to ``floor``.
+    """The sum of the closed forms ``parts``, known above ``floor``.
 
     The parts are summed over one denominator, which holds each k at its
-    highest multiplicity in any part.  The numerator's dense
-    coefficients from its degree down to ``floor + 1`` are then divided
-    by each ``1 - u^-k``: the quotient's coefficients satisfy
-    ``c[j] += c[j-k]`` (index j counts down from the top), a running sum
-    along every residue class mod k.  Division only carries coefficients
-    downward, so those above the floor are exact as computed.  With no
-    k at all the sum is exact.
+    highest multiplicity in any part.  With no k at all the sum is exact;
+    otherwise :func:`_expand` fills its terms when they are first read.
     """
     ks = []
     for _, part_ks in parts:
@@ -378,6 +380,18 @@ def _expand_rational(parts, floor):
         n = _add_terms(_times_denominator(part_n, missing), n)
     if not ks:
         return _series(n, NEG_INF)
+    s = object.__new__(MotiveSeries)
+    s._set(floor=floor, closed_form=(n, tuple(ks)))
+    return s
+
+
+def _expand(n, ks, floor):
+    """The terms of ``n / prod(1 - u^-k for k in ks)`` above ``floor``.
+
+    ``c[j] += c[j-k]`` (j counting down from the top) divides the dense
+    coefficients by ``1 - u^-k``.  Division only carries coefficients
+    downward, so those above the floor are exact as computed.
+    """
     top = max(n, default=floor)
     coeffs = [0] * max(top - floor, 0)
     for e, c in n.items():
@@ -386,8 +400,7 @@ def _expand_rational(parts, floor):
     for k in ks:
         for start in range(min(k, len(coeffs))):
             coeffs[start::k] = accumulate(coeffs[start::k])
-    return _series({top - j: c for j, c in enumerate(coeffs) if c}, floor,
-                   (n, tuple(ks)))
+    return {top - j: c for j, c in enumerate(coeffs) if c}
 
 
 U = MotiveSeries.monomial(1)

@@ -12,9 +12,10 @@ gives a rational function of ``u``: with ``k_i = 1 + a_i + alpha_i``,
 a stratum contributes ``[S] u^-d prod_i (u-1) u^-k_i / (1 - u^-k_i)``
 (the rationality of motivic measures, Denef-Loeser 1999).
 :func:`motivic_integral` sums the strata over one common denominator
-and expands that sum once down to the floor, one pass of the recurrence
-``c[j] += c[j-k]`` per denominator factor.  The result keeps the exact
-rational function, so two resolutions of one germ compare ``Equal``.
+and keeps that exact rational function, so two resolutions of one germ
+compare ``Equal``.  The sum is expanded down to the floor, one pass of
+the recurrence ``c[j] += c[j-k]`` per denominator factor, only when its
+terms are first read, which is when they are printed.
 The direct enumeration over contact tuples is kept alongside as
 :func:`motivic_integral_by_enumeration` and the two are held equal in
 the test suite, so the algebraic shortcut never drifts from the
@@ -326,11 +327,11 @@ def motivic_integral(data: ResolutionData, alpha_mults, floor: int
 
     ``alpha_mults`` gives, stratum by stratum, the monomial exponents of
     the integrand along the divisor components; ``None`` means alpha = 0
-    everywhere, which is the plain measure.  The result is exact above
-    ``floor`` and keeps its closed form.  Entries may be negative as
-    long as every combined exponent ``1 + a_i + alpha_i`` stays
-    positive; otherwise the contact series diverges and
-    :class:`DivergentExponent` is raised.
+    everywhere, which is the plain measure.  The result keeps its closed
+    form; its terms, exact above ``floor``, are expanded from it on
+    their first read.  Entries may be negative as long as every combined
+    exponent ``1 + a_i + alpha_i`` stays positive; otherwise the contact
+    series diverges and :class:`DivergentExponent` is raised.
     """
     parts = []
     for stratum, mults, alpha in zip(data.strata, data.jac_mults,

@@ -1,6 +1,11 @@
 """Boundedness verdicts and certificate-checked theorem reports."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +14,7 @@ from arcmeasure import (ArcJet, Conclusion, LaurentPoly, MotiveSeries,
                         ResolutionDiagram, SNCStratum, check_boundedness,
                         germ_measure, inner_lipschitz_probe,
                         inverse_mapping_report, measure_comparison_report,
-                        ord_jac_f, parse_poly)
+                        ord_jac_f, parse_poly, render)
 from arcmeasure import catalog
 
 
@@ -283,3 +288,23 @@ def test_probe_positive_orders_are_evidence_only():
     entries = [parse_poly("2*x", xy), parse_poly("3*y", xy)]
     arcs = [ArcJet.from_coeffs([[0, 1], [0, 0, 1]], 6)]
     assert inner_lipschitz_probe(entries, arcs) is None
+
+
+# ---------------------------------------------------------------------------
+# the worked example
+
+def test_worked_example_prints_the_measures_as_certificates():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "cusp_vs_line.py")],
+        capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stderr) == (0, "")
+    report = json.loads(result.stdout.split(
+        "report for the map from the cusp germ to the line germ:\n")[1])
+    certificates = report["certificates"]
+    assert certificates["mu_x"] == render(
+        germ_measure(catalog.cusp_data(), -20))
+    assert certificates["mu_y"] == render(
+        germ_measure(catalog.line_data(), -20))

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from arcmeasure import ResolutionData, germ_measure, render
 from arcmeasure.cli import main
 
 # ---------------------------------------------------------------------------
@@ -444,16 +445,35 @@ def test_compare_equal_floored_measures_exit_0_equal(run):
     assert (code, out, err) == (0, "Equal\n", "")
 
 
-def test_text_compare_renders_only_what_it_prints(run, monkeypatch):
-    def refuse(value):
-        raise AssertionError("an operand was rendered")
+@pytest.fixture
+def refuse_unprinted_work(monkeypatch):
+    """Make expanding a closed form, and rendering through any module
+    that binds ``render``, fail the test."""
+    def refuse(*args):
+        raise AssertionError("a series was expanded or rendered")
 
-    for module in ("cli", "grothendieck", "measure", "analysis"):
-        monkeypatch.setattr(f"arcmeasure.{module}.render", refuse)
+    monkeypatch.setattr("arcmeasure.grothendieck._expand", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("arcmeasure.") and "render" in vars(module):
+            monkeypatch.setattr(module, "render", refuse)
+
+
+def test_text_compare_renders_only_what_it_prints(run,
+                                                   refuse_unprinted_work):
     code, out, err = run(problem("compare",
                                  {"left": {"resolution": CUSP_RES},
                                   "right": {"resolution": LINE_RES}},
                                  floor=-12))
+    assert (code, out, err) == (0, "Less\n", "")
+
+
+def test_text_compare_expands_nothing_at_any_floor(run,
+                                                   refuse_unprinted_work):
+    # an expansion would fill ten million coefficients; none is allocated
+    code, out, err = run(problem("compare",
+                                 {"left": {"resolution": CUSP_RES},
+                                  "right": {"resolution": LINE_RES}}),
+                         "--floor", "-10000000")
     assert (code, out, err) == (0, "Less\n", "")
 
 
@@ -577,6 +597,58 @@ def test_check_map_cusp_to_line_inequality(run):
     lines = out.splitlines()
     assert lines[0] == "conclusion: MeasureInequality"
     assert "measures_comparable: pass (leq_order returned Less)" in out
+
+
+CUSP_TO_CUSP_DIAG = {"ambient_dim": 1,
+                     "strata": [{"name": "origin", "index_set": [0],
+                                 "class": "1", "p_mults": [1],
+                                 "q_mults": [1]}]}
+
+
+@pytest.mark.parametrize("payload, code, conclusion", [
+    ({"diagram": CUSP_TO_CUSP_DIAG, "mu_x": {"resolution": CUSP_RES},
+      "mu_y": {"resolution": CUSP_RES}}, 0, "InverseArcAnalytic"),
+    ({"diagram": CUSP_TO_LINE_DIAG, "mu_x": {"resolution": CUSP_RES},
+      "mu_y": {"resolution": LINE_RES}}, 0, "MeasureInequality"),
+    ({"diagram": IDENT_DIAG, "mu_x": {"resolution": LINE_RES},
+      "mu_y": {"resolution": CUSP_RES}}, 4, "Inconclusive"),
+], ids=["inverse", "inequality", "inconclusive"])
+def test_text_check_map_expands_and_renders_nothing(
+        run, refuse_unprinted_work, payload, code, conclusion):
+    got, out, err = run(problem("check-map", payload))
+    assert (got, err) == (code, "")
+    assert out.splitlines()[0] == f"conclusion: {conclusion}"
+
+
+@pytest.mark.parametrize("digit_limit", [4300, 640], indirect=True)
+def test_json_check_map_renders_each_measure_once(tmp_path, capsys,
+                                                  monkeypatch, digit_limit):
+    # the 701-digit witness makes the JSON dump retry under the lowest
+    # limit, after the measures have been rendered once
+    rendered = []
+
+    def counted(series):
+        rendered.append(series)
+        return render(series)
+
+    monkeypatch.setattr("arcmeasure.cli.render", counted)
+    doc = json.dumps(problem("check-map", {
+        "diagram": {"ambient_dim": 2, "strata": [
+            {"name": "E", "index_set": [0, 1], "class": "1",
+             "p_mults": ["A", 0], "q_mults": [0, 1]}]},
+        "mu_x": {"resolution": CUSP_RES}, "mu_y": {"resolution": LINE_RES}}))
+    path = tmp_path / "problem.json"
+    path.write_text(doc.replace('"A"', A700), encoding="utf-8")
+    code = main([str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (4, "")
+    assert len(rendered) == 2 and rendered[0] is not rendered[1]
+    mu_x = render(germ_measure(ResolutionData.from_json(CUSP_RES), -16))
+    mu_y = render(germ_measure(ResolutionData.from_json(LINE_RES), -16))
+    reports = json.loads(out, parse_int=str)["reports"]
+    for name in ("inverse_mapping", "measure_comparison"):
+        certificates = reports[name]["certificates"]
+        assert (certificates["mu_x"], certificates["mu_y"]) == (mu_x, mu_y)
 
 
 def test_check_map_contradictory_data_exit_4(run):

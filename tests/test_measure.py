@@ -436,6 +436,40 @@ def test_closed_form_is_kept_only_by_the_integral():
     assert germ_measure(catalog.identity_data(2), -8).closed_form is None
 
 
+def unread(series):
+    """Whether ``series`` has not filled its terms yet."""
+    try:
+        object.__getattribute__(series, "terms")
+    except AttributeError:
+        return True
+    return False
+
+
+@settings(max_examples=100, deadline=None)
+@given(resolutions(), st.integers(-60, -1))
+def test_terms_read_late_or_early_give_the_same_results(res, floor):
+    def computed():
+        s = motivic_integral(*res, floor)
+        # only an exact sum, with no k at all, has its terms already
+        assert unread(s) == (s.closed_form is not None)
+        return s
+
+    read, other = computed(), computed()
+    closed_form = read.closed_form
+    read.terms, other.terms
+    assert read.closed_form == closed_form
+    assert computed() == read and read == computed()
+    for check in (lambda s, t: s.terms, lambda s, t: hash(s),
+                  lambda s, t: repr(s), lambda s, t: render(s),
+                  lambda s, t: virtual_dim(s),
+                  lambda s, t: s.with_floor(floor // 2),
+                  lambda s, t: s == t, lambda s, t: s + t,
+                  lambda s, t: s - mono(-1), lambda s, t: 1 - s,
+                  lambda s, t: s * t, lambda s, t: s * mono(2),
+                  lambda s, t: s.closed_form):
+        assert check(computed(), computed()) == check(read, other)
+
+
 def test_dimension_and_zero_below_the_floor():
     # degree -5 lies below the floor -4: only the closed form knows it
     s = SNCStratum("p", (0,), LaurentPoly.one(), 2)
