@@ -61,6 +61,19 @@ class _Frozen:
     def _fields(self):
         return tuple([getattr(self, name) for name in self.__slots__])
 
+    def __reduce__(self):
+        # a closed form's unset terms stay unset; __setstate__ sets the rest
+        fields = {}
+        for name in self.__slots__:
+            try:
+                fields[name] = object.__getattribute__(self, name)
+            except AttributeError:
+                pass
+        return object.__new__, (type(self),), fields
+
+    def __setstate__(self, fields):
+        self._set(**fields)
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented

@@ -9,7 +9,7 @@ either exact or reported as a lower bound, never silently truncated.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import add
 
 from .grothendieck import (_add_terms, _coefficient, _Frozen, _mul_terms,
@@ -76,7 +76,8 @@ class TruncSeries(_Frozen):
         if isinstance(other, (int, Fraction)):
             return TruncSeries([c * other for c in self.coeffs])
         self._check_cap(other)
-        return TruncSeries(_list_mul(self.coeffs, other.coeffs, self.cap))
+        return compose(MultiPoly(("x", "y"), {(1, 1): 1}),
+                       ArcJet((self, other)))
 
     __rmul__ = __mul__
 
@@ -183,25 +184,12 @@ def min_series_order(orders) -> SeriesOrder:
 # ---------------------------------------------------------------------------
 # composition
 
-def _list_mul(a, b, cap):
-    out = [0] * (cap + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        top = cap + 1 - i
-        for j in range(min(len(b), top)):
-            bj = b[j]
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 def _evaluate(terms, comps, mul, plus, zero):
     """Value of a polynomial at the ring elements ``comps``.
 
     ``terms`` maps each exponent vector to its coefficient, already a
     ring element; ``mul``, ``plus`` and ``zero`` are the ring's product,
-    sum and zero: int lists truncated at the cap for :func:`compose`,
+    sum and zero: packed ints modulo ``2^(w(cap+1))`` for :func:`compose`,
     packed term maps for :func:`jet_equations`.  Powers of components
     are cached since sparse polynomials reuse them heavily.
     """
@@ -227,11 +215,15 @@ def _evaluate(terms, comps, mul, plus, zero):
 def compose(f: MultiPoly, arc: ArcJet) -> TruncSeries:
     """Exact value of ``f`` along the arc, modulo ``t^(cap+1)``.
 
-    The arithmetic is over the integers: component ``j`` is scaled by
-    the lcm ``D_j`` of its denominators, a term ``c*prod x_j^k_j`` then
-    has denominator ``den(c)*prod D_j^k_j``, and every term is brought
-    to the lcm ``L`` of those, so the result is the integer value over
-    ``L``.
+    Component ``j`` is scaled by the lcm ``D_j`` of its denominators and
+    each term ``a_e*prod x_j^k_j`` brought to the lcm ``L`` of the
+    ``den(a_e)*prod D_j^k_j``, so the result is an integer series over
+    ``L``.  It is computed in one int: ``t -> 2^w`` maps
+    ``Z[t]/(t^(cap+1))`` to ``Z/2^(w(cap+1))``, so a series product is
+    one big-int multiply, which may wrap.  ``B = sum |a_e| prod
+    ||X_j^k_j||``, ``||y||`` summing y's coefficient sizes below the cap,
+    bounds every digit of the result, and ``w >= bit_length(B) + 2``
+    reads them back exactly.
     """
     if len(f.variables) != len(arc):
         raise ArityMismatch(
@@ -241,20 +233,30 @@ def compose(f: MultiPoly, arc: ArcJet) -> TruncSeries:
         d = lcm(*(x.denominator for x in c.coeffs))
         comps.append([x.numerator * (d // x.denominator) for x in c.coeffs])
         scales.append(d)
-    dens = {}
-    for exps, c in f.terms.items():
-        den = c.denominator
-        for d, k in zip(scales, exps):
-            den *= d ** k
-        dens[exps] = den
+    dens = {exps: c.denominator * prod(d ** k for d, k in zip(scales, exps))
+            for exps, c in f.terms.items()}
     common = lcm(*dens.values())
     cap = arc.cap
-    terms = {exps: [c.numerator * (common // dens[exps])] + [0] * cap
+    terms = {exps: c.numerator * (common // dens[exps])
              for exps, c in f.terms.items()}
-    acc = _evaluate(terms, comps, lambda a, b: _list_mul(a, b, cap),
-                    lambda a, b: [x + y for x, y in zip(a, b)],
-                    [0] * (cap + 1))
-    return TruncSeries([Fraction(a, common) for a in acc])
+    sizes = [(abs(c[0]), sum(map(abs, c[1:]))) for c in comps]
+    # past the cap, (h + r)^k keeps only its terms up to r^cap
+    bound = sum(abs(a) * prod((h + r) ** k if k <= cap
+                              else h ** k * (1 + k * r) ** cap
+                              for (h, r), k in zip(sizes, exps))
+                for exps, a in terms.items())
+    size, n = (bound.bit_length() + 9) // 8, cap + 1  # bytes per digit
+    w, half = 8 * size, 1 << 8 * size - 1
+    mask = (1 << w * n) - 1
+    acc = _evaluate(terms, [sum([c << w * i for i, c in enumerate(x)])
+                            for x in comps],
+                    lambda x, y: x * y & mask, add, 0)
+    # 2^(w-1) added to every field moves each digit into [0, 2^w)
+    acc += int.from_bytes(half.to_bytes(size, "little") * n, "little")
+    buf = (acc & mask).to_bytes(size * n, "little")
+    return TruncSeries([Fraction(int.from_bytes(buf[i:i + size], "little")
+                                 - half, common)
+                        for i in range(0, size * n, size)])
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +308,17 @@ def _jet_expansion(g: MultiPoly, level: int, jet_vars):
 
     The expansion runs over ints: ``g`` is scaled by the lcm ``L`` of its
     denominators and the result divided by ``L``.  A monomial
-    ``t^e * prod a^k`` is one int key: ``w`` bits per jet variable, with
-    ``2^w > deg g``, and ``e`` in the field above the last.  Every cached
-    power and every term has total jet degree at most ``deg g``, so no
-    field overflows and multiplying monomials adds their keys.  Keys are
-    stored negated, so the kernel's ``above`` cut drops every product
-    past ``t^level``.
+    ``t^e * prod a^k`` is one int key: ``size`` bytes per jet variable,
+    with ``256^size > deg g``, and ``e`` above the last field.  Every
+    cached power and every term has total jet degree at most ``deg g``,
+    so no field overflows, multiplying monomials adds their keys and one
+    ``to_bytes`` reads a key's exponents.  Keys are stored negated, so
+    the kernel's ``above`` cut drops every product past ``t^level``.
     """
-    n = level + 1
-    w = max(1, max(sum(e) for e in g.terms).bit_length())
-    shift = w * len(jet_vars)
+    n, nv = level + 1, len(jet_vars)
+    size = max(1, (max(sum(e) for e in g.terms).bit_length() + 7) // 8)
+    w = 8 * size
+    shift = w * nv
     big_l = lcm(*(c.denominator for c in g.terms.values()))
     terms = {e: {0: c.numerator * (big_l // c.denominator)}
              for e, c in g.terms.items()}
@@ -325,17 +328,14 @@ def _jet_expansion(g: MultiPoly, level: int, jet_vars):
     acc = _evaluate(terms, comps, lambda a, b: _mul_terms(a, b, add, above),
                     _add_terms, {})
     by_t = [{} for _ in range(n)]
-    mask, field = (1 << shift) - 1, (1 << w) - 1
+    mask = (1 << shift) - 1
     for key, c in acc.items():
         key = -key
-        rest = key & mask
-        exps = [0] * len(jet_vars)
-        while rest:  # at most deg g nonzero fields
-            at = ((rest & -rest).bit_length() - 1) // w * w
-            k = rest >> at & field
-            exps[at // w] = k
-            rest ^= k << at
-        by_t[key >> shift][tuple(exps)] = Fraction(c, big_l)
+        buf = (key & mask).to_bytes(size * nv, "little")
+        exps = tuple(buf) if size == 1 else tuple(
+            int.from_bytes(buf[i:i + size], "little")
+            for i in range(0, size * nv, size))
+        by_t[key >> shift][exps] = Fraction(c, big_l)
     return [_poly(jet_vars, t) for t in by_t if t]
 
 

@@ -84,6 +84,14 @@ def test_jets_single_variable_level_zero(run):
     assert out == "a_0\n"
 
 
+def test_jets_of_any_degree(run):
+    # 2^64 needs a field of 9 bytes per jet variable
+    code, out, err = run(problem("jets", {"variables": ["x", "y"],
+                                          "generators": [f"x^{2 ** 64} - y"],
+                                          "level": 0}))
+    assert (code, out, err) == (0, "a_0^18446744073709551616 - b_0\n", "")
+
+
 def test_jets_malformed_polynomial_exits_2_with_offset(run):
     code, out, err = run(problem("jets", {"variables": ["x", "y"],
                                           "generators": ["x +* y"],

@@ -1,5 +1,7 @@
 """Resolution-data integrals: closed form against brute enumeration."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -443,6 +445,16 @@ def unread(series):
     except AttributeError:
         return True
     return False
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_copying_a_closed_form_leaves_its_terms_unexpanded(how):
+    cusp = germ_measure(catalog.cusp_data(), -8)
+    twin = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+            "pickle": lambda v: pickle.loads(pickle.dumps(v))}[how](cusp)
+    assert unread(cusp) and unread(twin)
+    assert twin.closed_form == cusp.closed_form and twin.floor == -8
+    assert twin.terms == germ_measure(catalog.cusp_data(), -8).terms
 
 
 @settings(max_examples=100, deadline=None)

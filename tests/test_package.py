@@ -1,6 +1,8 @@
 """The package surface: lazy exports and the one immutable-value base."""
 
+import copy
 import importlib
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +96,21 @@ def test_values_are_immutable_and_compare_by_fields(name):
         assert hash(a) == hash(b)
     except TypeError:  # no hash, or a dict among the fields
         assert name in ("PolySystem", "TheoremReport")
+
+
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda v: pickle.loads(pickle.dumps(v))}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_values_survive_copy_and_pickle(name, how):
+    value = VALUES[name]()
+    twin = COPIES[how](value)
+    assert type(twin) is type(value) and twin is not value
+    assert twin._fields() == value._fields() and repr(twin) == repr(value)
+    with pytest.raises(AttributeError, match=f"{name} is immutable"):
+        setattr(twin, type(twin).__slots__[0], None)
 
 
 def test_reprs_keep_the_field_format():

@@ -148,6 +148,77 @@ def test_compose_matches_dense_fraction_reference(case):
     assert all(type(c) is Fraction for c in out.coeffs)
 
 
+# Integers at the byte edges of the packed digits (2^k near a multiple
+# of 8 bits) and far past any machine word, for the width edge tests.
+EDGE_INTS = st.one_of(
+    st.integers(-10 ** 40, 10 ** 40),
+    st.sampled_from([sign * (2 ** k + d) for k in (6, 7, 8, 14, 15, 16, 62,
+                                                   63, 64, 133)
+                     for d in (-1, 0, 1) for sign in (1, -1)]))
+WIDE = st.builds(Fraction, EDGE_INTS, st.integers(1, 10 ** 6))
+POSITIVE = st.builds(Fraction, EDGE_INTS.map(abs).filter(bool),
+                     st.integers(1, 10 ** 6))
+
+
+@st.composite
+def wide_rows(draw, n, cap):
+    """Rows of wide rationals, all-zero rows and single-entry rows."""
+    single = st.builds(lambda i, c: [0] * i + [c] + [0] * (cap - i),
+                       st.integers(0, cap), WIDE)
+    wide = st.lists(WIDE, min_size=cap + 1, max_size=cap + 1)
+    return [draw(st.one_of(st.just([0] * (cap + 1)), single, wide))
+            for _ in range(n)]
+
+
+@st.composite
+def compose_at_width_edges(draw):
+    """``(f, rows, cap, zeros)``: ``zeros`` leading result coefficients
+    are known to cancel to 0.
+
+    ``wide`` draws signed wide coefficients.  ``bound`` draws positive
+    terms and constant positive rows, so the constant result coefficient
+    is the bound ``B`` on which the packed width rests.  ``cancel``
+    takes ``a*x^k - a*y^k`` at two rows that agree below ``t^m``.
+    """
+    cap = draw(st.integers(0, 12))
+    shape = draw(st.sampled_from(["wide", "bound", "cancel"]))
+    if shape == "cancel":
+        k, m = draw(st.integers(1, 3)), draw(st.integers(0, cap + 1))
+        a = draw(WIDE.filter(bool))
+        row = draw(wide_rows(1, cap))[0]
+        rows = [row, row[:m] + draw(wide_rows(1, cap))[0][m:]]
+        return MultiPoly(XY, {(k, 0): a, (0, k): -a}), rows, cap, m
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    if shape == "bound":
+        terms = draw(st.dictionaries(exps, POSITIVE, min_size=1, max_size=4))
+        rows = [[draw(POSITIVE)] + [0] * cap for _ in range(n)]
+    else:
+        terms = draw(st.dictionaries(exps, WIDE, max_size=5))
+        rows = draw(wide_rows(n, cap))
+    return MultiPoly(("x", "y", "z")[:n], terms), rows, cap, 0
+
+
+@given(compose_at_width_edges())
+@settings(max_examples=300, deadline=None)
+def test_compose_at_packed_width_edges(case):
+    f, rows, cap, zeros = case
+    out = compose(f, jet(rows, cap))
+    assert out.coeffs == naive_compose(f, rows, cap)
+    assert not any(out.coeffs[:zeros])
+
+
+@given(st.integers(0, 12).flatmap(lambda cap: wide_rows(2, cap)))
+@settings(max_examples=200, deadline=None)
+def test_trunc_product_matches_dense_fraction_product(rows):
+    a, b = (TruncSeries(r) for r in rows)
+    dense = tuple(sum((Fraction(a.coeffs[i]) * b.coeffs[n - i]
+                       for i in range(n + 1)), Fraction(0))
+                  for n in range(a.cap + 1))
+    assert (a * b).coeffs == dense and (b * a).coeffs == dense
+    assert all(type(c) is Fraction for c in (a * b).coeffs)
+
+
 # ---------------------------------------------------------------------------
 # jet equations
 
@@ -241,11 +312,17 @@ def test_jet_equations_match_reference(case):
     assert_matches_reference(*case)
 
 
-@pytest.mark.parametrize("degree", [1, 3, 4, 7, 8])
+@pytest.mark.parametrize("degree", [1, 3, 4, 7, 8, 255, 256])
 def test_jet_equations_at_field_width_edges(degree):
-    # every monomial up to the degree, so the top field fills up
-    terms = {(i, j): Fraction(i + 1, j + 2) for i in range(degree + 1)
-             for j in range(degree + 1 - i)}
+    # every monomial up to the degree, so the top field fills up; at the
+    # byte edge 255/256 a sparse support keeps the reference fast
+    if degree <= 8:
+        support = [(i, j) for i in range(degree + 1)
+                   for j in range(degree + 1 - i)]
+    else:
+        support = [(degree, 0), (0, degree), (degree - 1, 1),
+                   (1, degree - 2), (2, 1), (0, 0)]
+    terms = {(i, j): Fraction(i + 1, j + 2) for i, j in support}
     assert_matches_reference(PolySystem(XY, [MultiPoly(XY, terms)]), 4)
 
 
