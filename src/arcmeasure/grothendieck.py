@@ -41,12 +41,23 @@ class BoundViolated(ValueError):
 class _Frozen:
     """An immutable value whose fields are the names in ``__slots__``.
 
-    ``__init__`` stores the fields once through :meth:`_set`.  ``==``,
-    ``hash`` and ``repr`` read the fields in slot order, and ``==`` holds
-    only between instances of one exact type.
+    A value built from outside data goes through ``__init__``, which
+    checks it and stores the fields once through :meth:`_set`.  A value
+    built from parts that are already valid goes through :meth:`_new`,
+    which checks nothing.  ``==``, ``hash`` and ``repr`` read the fields
+    in slot order, and ``==`` holds only between instances of one exact
+    type.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _new(cls, *values):
+        """The value whose fields are ``values``, one per slot in order."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def _set(self, **fields):
         for name, value in fields.items():
@@ -62,17 +73,7 @@ class _Frozen:
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def __reduce__(self):
-        # a closed form's unset terms stay unset; __setstate__ sets the rest
-        fields = {}
-        for name in self.__slots__:
-            try:
-                fields[name] = object.__getattribute__(self, name)
-            except AttributeError:
-                pass
-        return object.__new__, (type(self),), fields
-
-    def __setstate__(self, fields):
-        self._set(**fields)
+        return type(self)._new, self._fields()
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -165,6 +166,35 @@ def _pow_terms(a, n, one, combine):
     return result
 
 
+def _evaluate(terms, comps, mul, plus, zero):
+    """Value of a polynomial at the ring elements ``comps``.
+
+    ``terms`` maps each exponent vector to its coefficient, already a
+    ring element; ``mul``, ``plus`` and ``zero`` are the ring's product,
+    sum and zero: Fractions for ``MultiPoly.evaluate``, packed ints
+    modulo ``2^(w(cap+1))`` for ``series.compose``, packed term maps for
+    ``series.jet_equations``.  Powers of components are cached since
+    sparse polynomials reuse them heavily.
+    """
+    powers = [{1: c} for c in comps]
+
+    def power(j, k):
+        cache = powers[j]
+        if k not in cache:
+            half = power(j, k // 2)
+            sq = mul(half, half)
+            cache[k] = mul(sq, comps[j]) if k % 2 else sq
+        return cache[k]
+
+    acc = zero
+    for exps, term in terms.items():
+        for j, k in enumerate(exps):
+            if k:
+                term = mul(term, power(j, k))
+        acc = plus(acc, term)
+    return acc
+
+
 class MotiveSeries(_Frozen):
     """Laurent series in ``u^-1`` known exactly above a precision floor.
 
@@ -177,9 +207,10 @@ class MotiveSeries(_Frozen):
     are treated as immutable.
 
     ``closed_form`` is ``(N, ks)`` on the exact ``N / prod(1 - u^-k for
-    k in ks)``, else ``None``; such a series expands it into ``terms``
-    when they are first read.  Operators and :meth:`with_floor` drop it; ``==``,
-    ``hash`` and :func:`render` ignore it.
+    k in ks)``, else ``None``.  A series built from a closed form leaves
+    ``_terms`` at ``None``; the ``terms`` property expands the closed form
+    into it on the first read.  Operators and :meth:`with_floor` drop
+    it; ``==``, ``hash`` and :func:`render` ignore it.
 
     Example::
 
@@ -193,12 +224,12 @@ class MotiveSeries(_Frozen):
         MotiveSeries('u - 1 + O(u^-2)')
     """
 
-    __slots__ = ("terms", "floor", "closed_form")
+    __slots__ = ("_terms", "floor", "closed_form")
 
     def __init__(self, exponent_map=None, floor=NEG_INF):
         _check_floor(floor)
         terms = _as_terms(exponent_map or {})
-        self._set(terms=_above(terms, floor), floor=floor, closed_form=None)
+        self._set(_terms=_above(terms, floor), floor=floor, closed_form=None)
 
     @classmethod
     def zero(cls) -> "MotiveSeries":
@@ -216,6 +247,12 @@ class MotiveSeries(_Frozen):
     def from_poly(cls, p: "MotiveSeries", floor=NEG_INF) -> "MotiveSeries":
         """``p`` viewed at precision ``floor``; ``p.with_floor(floor)``."""
         return p.with_floor(floor)
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._set(_terms=_expand(*self.closed_form, self.floor))
+        return self._terms
 
     @property
     def top(self):
@@ -237,13 +274,6 @@ class MotiveSeries(_Frozen):
             raise ValueError("zero polynomial has no leading coefficient")
         return self.terms[top]
 
-    def __getattr__(self, name):
-        # reached only for an unset slot: the terms of a closed form
-        if name != "terms":
-            raise AttributeError(f"no attribute {name!r}")
-        self._set(terms=_expand(*self.closed_form, self.floor))
-        return self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -259,7 +289,8 @@ class MotiveSeries(_Frozen):
         return hash((frozenset(self.terms.items()), self.floor))
 
     def __neg__(self):
-        return _series({e: -c for e, c in self.terms.items()}, self.floor)
+        return MotiveSeries._new({e: -c for e, c in self.terms.items()},
+                                 self.floor, None)
 
     def __add__(self, other):
         o = _coerce_series(other)
@@ -286,21 +317,24 @@ class MotiveSeries(_Frozen):
         if o is None:
             return NotImplemented
         if self.floor == o.floor == NEG_INF:
-            return _series(_mul_terms(self.terms, o.terms, add), NEG_INF)
+            return MotiveSeries._new(_mul_terms(self.terms, o.terms, add),
+                                     NEG_INF, None)
         # Unknown tails contaminate degrees up to floor+top of the other
         # factor, and the two tails contaminate floor_a+floor_b.
         floor = max(self.floor + o.top, o.floor + self.top,
                     self.floor + o.floor)
         if floor != NEG_INF:
             floor = int(floor)
-        return _series(_mul_terms(self.terms, o.terms, add, floor), floor)
+        return MotiveSeries._new(_mul_terms(self.terms, o.terms, add, floor),
+                                 floor, None)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not self.is_exact():
             return NotImplemented
-        return _series(_pow_terms(self.terms, n, {0: 1}, add), NEG_INF)
+        return MotiveSeries._new(_pow_terms(self.terms, n, {0: 1}, add),
+                                 NEG_INF, None)
 
     def with_floor(self, new_floor) -> "MotiveSeries":
         """Forget information: raise the floor to ``new_floor``."""
@@ -308,7 +342,8 @@ class MotiveSeries(_Frozen):
         if new_floor < self.floor:
             raise ValueError(
                 f"cannot lower floor from {self.floor} to {new_floor}")
-        return _series(_above(self.terms, new_floor), new_floor)
+        return MotiveSeries._new(_above(self.terms, new_floor), new_floor,
+                                 None)
 
     def __repr__(self):
         return f"MotiveSeries({render(self)!r})"
@@ -330,29 +365,20 @@ def _above(terms, floor):
     return {e: c for e, c in terms.items() if e > floor}
 
 
-def _series(terms, floor, closed_form=None):
-    # a MotiveSeries over trusted terms: int keys above the floor (an int
-    # or NEG_INF), nonzero int values
-    s = object.__new__(MotiveSeries)
-    object.__setattr__(s, "terms", terms)
-    object.__setattr__(s, "floor", floor)
-    object.__setattr__(s, "closed_form", closed_form)
-    return s
-
-
 def _series_sum(a, b, sign):
     floor = max(a.floor, b.floor)
     terms = _add_terms(a.terms, b.terms, sign)
     if a.floor != b.floor:
         terms = _above(terms, floor)
-    return _series(terms, floor)
+    return MotiveSeries._new(terms, floor, None)
 
 
 def _coerce_series(x):
+    # a bool is no ring element: == gives NotImplemented, + a TypeError
     if isinstance(x, MotiveSeries):
         return x
-    if isinstance(x, int):
-        return MotiveSeries({0: x})
+    if isinstance(x, int) and not isinstance(x, bool):
+        return MotiveSeries._new({0: x} if x else {}, NEG_INF, None)
     return None
 
 
@@ -392,10 +418,8 @@ def _expand_rational(parts, floor):
             missing.remove(k)
         n = _add_terms(_times_denominator(part_n, missing), n)
     if not ks:
-        return _series(n, NEG_INF)
-    s = object.__new__(MotiveSeries)
-    s._set(floor=floor, closed_form=(n, tuple(ks)))
-    return s
+        return MotiveSeries._new(n, NEG_INF, None)
+    return MotiveSeries._new(None, floor, (n, tuple(ks)))
 
 
 def _expand(n, ks, floor):
@@ -744,4 +768,5 @@ def parse_motive(text: str):
         if e <= floor:
             raise ParseError(f"term at or below the floor {floor}", offset)
         terms[e] = terms.get(e, 0) + c
-    return _series({e: c for e, c in terms.items() if c}, floor)
+    return MotiveSeries._new({e: c for e, c in terms.items() if c}, floor,
+                             None)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from itertools import combinations, compress
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .grothendieck import (ParseError, _add_terms, _check_int, _coefficient,
-                           _Frozen, _mul_terms, _pow_terms, _power_text,
-                           _scan_terms, _signed_sum)
+                           _evaluate, _Frozen, _mul_terms, _pow_terms,
+                           _power_text, _scan_terms, _signed_sum)
 
 
 class ArityMismatch(ValueError):
@@ -54,15 +54,15 @@ class MultiPoly(_Frozen):
     def constant(cls, variables, value) -> "MultiPoly":
         variables = tuple(variables)
         value = _coefficient(value)
-        return _poly(variables, {(0,) * len(variables): value} if value
-                     else {})
+        return cls._new(variables, {(0,) * len(variables): value} if value
+                        else {})
 
     @classmethod
     def variable(cls, variables, index: int) -> "MultiPoly":
         variables = tuple(variables)
         exps = [0] * len(variables)
         exps[index] = 1
-        return _poly(variables, {tuple(exps): Fraction(1)})
+        return cls._new(variables, {tuple(exps): Fraction(1)})
 
     def __bool__(self):
         return bool(self.terms)
@@ -71,6 +71,8 @@ class MultiPoly(_Frozen):
         return all(not any(e) for e in self.terms)
 
     def __eq__(self, other):
+        if isinstance(other, bool):  # no ring element, as for MotiveSeries
+            return NotImplemented
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.variables, other)
         if isinstance(other, MultiPoly):
@@ -90,13 +92,14 @@ class MultiPoly(_Frozen):
         return None
 
     def __neg__(self):
-        return _poly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._new(self.variables,
+                              {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _poly(self.variables, _add_terms(self.terms, o.terms))
+        return MultiPoly._new(self.variables, _add_terms(self.terms, o.terms))
 
     __radd__ = __add__
 
@@ -104,27 +107,29 @@ class MultiPoly(_Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _poly(self.variables, _add_terms(self.terms, o.terms, -1))
+        return MultiPoly._new(self.variables,
+                              _add_terms(self.terms, o.terms, -1))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _poly(self.variables, _add_terms(o.terms, self.terms, -1))
+        return MultiPoly._new(self.variables,
+                              _add_terms(o.terms, self.terms, -1))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _poly(self.variables,
-                     _mul_terms(self.terms, o.terms, _add_exponents))
+        return MultiPoly._new(self.variables,
+                              _mul_terms(self.terms, o.terms, _add_exponents))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         one = {(0,) * len(self.variables): Fraction(1)}
-        return _poly(self.variables,
-                     _pow_terms(self.terms, n, one, _add_exponents))
+        return MultiPoly._new(self.variables,
+                              _pow_terms(self.terms, n, one, _add_exponents))
 
     def diff(self, index: int) -> "MultiPoly":
         """Partial derivative with respect to ``variables[index]``."""
@@ -133,7 +138,7 @@ class MultiPoly(_Frozen):
             k = e[index]
             if k:  # distinct terms differentiate to distinct exponents
                 out[e[:index] + (k - 1,) + e[index + 1:]] = c * k
-        return _poly(self.variables, out)
+        return MultiPoly._new(self.variables, out)
 
     def evaluate(self, values) -> Fraction:
         """Value at a rational point, given per variable name or position."""
@@ -143,14 +148,7 @@ class MultiPoly(_Frozen):
             point = [_coefficient(v) for v in values]
             if len(point) != len(self.variables):
                 raise ArityMismatch("point has wrong number of coordinates")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for x, k in zip(point, e):
-                if k:
-                    term *= x ** k
-            total += term
-        return total
+        return _evaluate(self.terms, point, mul, add, Fraction(0))
 
     def __repr__(self):
         return f"MultiPoly({render_poly(self)!r}, vars={self.variables})"
@@ -158,15 +156,6 @@ class MultiPoly(_Frozen):
 
 def _add_exponents(e1, e2):
     return tuple(map(add, e1, e2))
-
-
-def _poly(variables, terms):
-    # a MultiPoly over trusted terms: nonnegative exponent tuples of the
-    # variables' length, nonzero Fraction values
-    p = object.__new__(MultiPoly)
-    object.__setattr__(p, "variables", variables)
-    object.__setattr__(p, "terms", terms)
-    return p
 
 
 def render_poly(p: MultiPoly) -> str:
@@ -203,7 +192,8 @@ def parse_poly(text: str, variables) -> MultiPoly:
         if min(exponents, default=0) < 0:
             raise ParseError("negative exponent in a polynomial", offset)
         terms[exponents] = terms.get(exponents, 0) + c
-    return _poly(variables, {e: Fraction(c) for e, c in terms.items() if c})
+    return MultiPoly._new(variables,
+                          {e: Fraction(c) for e, c in terms.items() if c})
 
 
 class PolySystem(_Frozen):

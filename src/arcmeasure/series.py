@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import add
+from operator import add, sub
 
-from .grothendieck import (_add_terms, _coefficient, _Frozen, _mul_terms,
-                           _series_text)
+from .grothendieck import (_add_terms, _coefficient, _evaluate, _Frozen,
+                           _mul_terms, _series_text)
 from .polynomials import (ArityMismatch, MultiPoly, PolySystem,
-                          _jacobian_ideal, _poly, matrix_minors)
+                          _jacobian_ideal, matrix_minors)
 
 
 class IndeterminateAtCap(ArithmeticError):
@@ -63,18 +63,19 @@ class TruncSeries(_Frozen):
 
     def __add__(self, other):
         self._check_cap(other)
-        return TruncSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return TruncSeries._new(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check_cap(other)
-        return TruncSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return TruncSeries._new(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return TruncSeries([-a for a in self.coeffs])
+        return TruncSeries._new(tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TruncSeries([c * other for c in self.coeffs])
+            other = _coefficient(other)  # a bool is a TypeError
+            return TruncSeries._new(tuple([c * other for c in self.coeffs]))
         self._check_cap(other)
         return compose(MultiPoly(("x", "y"), {(1, 1): 1}),
                        ArcJet((self, other)))
@@ -184,34 +185,6 @@ def min_series_order(orders) -> SeriesOrder:
 # ---------------------------------------------------------------------------
 # composition
 
-def _evaluate(terms, comps, mul, plus, zero):
-    """Value of a polynomial at the ring elements ``comps``.
-
-    ``terms`` maps each exponent vector to its coefficient, already a
-    ring element; ``mul``, ``plus`` and ``zero`` are the ring's product,
-    sum and zero: packed ints modulo ``2^(w(cap+1))`` for :func:`compose`,
-    packed term maps for :func:`jet_equations`.  Powers of components
-    are cached since sparse polynomials reuse them heavily.
-    """
-    powers = [{1: c} for c in comps]
-
-    def power(j, k):
-        cache = powers[j]
-        if k not in cache:
-            half = power(j, k // 2)
-            sq = mul(half, half)
-            cache[k] = mul(sq, comps[j]) if k % 2 else sq
-        return cache[k]
-
-    acc = zero
-    for exps, term in terms.items():
-        for j, k in enumerate(exps):
-            if k:
-                term = mul(term, power(j, k))
-        acc = plus(acc, term)
-    return acc
-
-
 def compose(f: MultiPoly, arc: ArcJet) -> TruncSeries:
     """Exact value of ``f`` along the arc, modulo ``t^(cap+1)``.
 
@@ -254,9 +227,9 @@ def compose(f: MultiPoly, arc: ArcJet) -> TruncSeries:
     # 2^(w-1) added to every field moves each digit into [0, 2^w)
     acc += int.from_bytes(half.to_bytes(size, "little") * n, "little")
     buf = (acc & mask).to_bytes(size * n, "little")
-    return TruncSeries([Fraction(int.from_bytes(buf[i:i + size], "little")
-                                 - half, common)
-                        for i in range(0, size * n, size)])
+    return TruncSeries._new(tuple([
+        Fraction(int.from_bytes(buf[i:i + size], "little") - half, common)
+        for i in range(0, size * n, size)]))
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +302,16 @@ def _jet_expansion(g: MultiPoly, level: int, jet_vars):
                     _add_terms, {})
     by_t = [{} for _ in range(n)]
     mask = (1 << shift) - 1
+    # Fraction(c) skips the gcd that Fraction(c, 1) would run
+    coefficient = Fraction if big_l == 1 else lambda c: Fraction(c, big_l)
     for key, c in acc.items():
         key = -key
         buf = (key & mask).to_bytes(size * nv, "little")
         exps = tuple(buf) if size == 1 else tuple(
             int.from_bytes(buf[i:i + size], "little")
             for i in range(0, size * nv, size))
-        by_t[key >> shift][exps] = Fraction(c, big_l)
-    return [_poly(jet_vars, t) for t in by_t if t]
+        by_t[key >> shift][exps] = coefficient(c)
+    return [MultiPoly._new(jet_vars, t) for t in by_t if t]
 
 
 def satisfies_jet_equations(equations: PolySystem, jet_values) -> bool:

@@ -567,6 +567,20 @@ def test_constructors_reject_malformed_terms(build, error):
         build()
 
 
+@pytest.mark.parametrize("value", [
+    MotiveSeries({1: 1}, -3), ONE, MultiPoly.constant(("x",), 1),
+    parse_poly("x + 1", ("x",))])
+def test_a_bool_is_no_ring_element(value):
+    # == leaves a bool to Python, which falls back to identity
+    assert value.__eq__(True) is NotImplemented
+    assert not value == True and value != False  # noqa: E712
+    assert True not in [value] and value not in [True, False]
+    with pytest.raises(TypeError):
+        value + True
+    with pytest.raises(TypeError):
+        False * value
+
+
 def test_canonical_form_never_stores_zero():
     p = LaurentPoly({3: 5, 1: 0, 0: -2})
     assert 1 not in p.terms

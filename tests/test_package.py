@@ -8,13 +8,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arcmeasure
-from arcmeasure import (ArcJet, BoundednessVerdict, CylinderDescriptor,
-                        MeasurableDescriptor, MotiveSeries, PolySystem,
-                        ResolutionData, ResolutionDiagram, SeriesOrder,
-                        StableSetDescriptor, TheoremReport, TruncSeries,
-                        parse_poly)
+from arcmeasure import (NEG_INF, ArcJet, BoundednessVerdict,
+                        CylinderDescriptor, MeasurableDescriptor, MotiveSeries,
+                        MultiPoly, PolySystem, ResolutionData,
+                        ResolutionDiagram, SeriesOrder, StableSetDescriptor,
+                        TheoremReport, TruncSeries, parse_poly)
+from arcmeasure.grothendieck import _expand_rational
 from arcmeasure.measure import SNCStratum
 
 
@@ -126,3 +129,37 @@ def test_equality_needs_the_same_type():
     verdict = VALUES["BoundednessVerdict"]()
     assert verdict != (True, False, None, ("E", (1,)))
     assert SeriesOrder(3) != SeriesOrder(3, exact=False)
+
+
+_TERMS = st.dictionaries(st.integers(-6, 6), st.integers(-5, 5).filter(bool),
+                         max_size=4)
+_FLOORS = st.one_of(st.just(NEG_INF), st.integers(-12, 2))
+_CLOSED = st.builds(
+    lambda n, ks, floor: _expand_rational([(n, tuple(ks))], floor),
+    _TERMS, st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.integers(-12, 2))
+
+
+def _expanded(series):
+    series.terms  # fills the lazy slot
+    return series
+
+
+VALUES_FROM_PARTS = st.one_of(
+    st.builds(MotiveSeries, _TERMS, _FLOORS),
+    _CLOSED,  # lazy: terms not yet expanded
+    _CLOSED.map(_expanded),
+    st.builds(MultiPoly, st.just(("x", "y")), st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.fractions(max_denominator=4), max_size=4)),
+    st.builds(TruncSeries, st.lists(st.fractions(max_denominator=4),
+                                    min_size=1, max_size=5)))
+
+
+@given(VALUES_FROM_PARTS)
+@settings(max_examples=200)
+def test_new_rebuilds_a_value_from_its_fields(value):
+    fields = value._fields()
+    twin = type(value)._new(*fields)
+    assert type(twin) is type(value) and twin._fields() == fields
+    assert twin == value and hash(twin) == hash(value)

@@ -51,6 +51,17 @@ def test_trunc_series_rejects_inexact_coefficients(coeff):
         TruncSeries.monomial(3, 2, coeff)  # past the cap as well
 
 
+@pytest.mark.parametrize("scalar", [True, False])
+def test_trunc_series_scalar_product_rejects_bools(scalar):
+    s = TruncSeries([1, 2], 3)
+    with pytest.raises(TypeError):
+        s * scalar
+    with pytest.raises(TypeError):
+        scalar * s
+    assert (s * 2).coeffs == (2, 4, 0, 0) == (2 * s).coeffs
+    assert (s * Fraction(1, 2)).coeffs == (Fraction(1, 2), 1, 0, 0)
+
+
 def test_trunc_series_keeps_fractions():
     s = TruncSeries([2, Fraction(1, 3)], 2)
     assert s.coeffs == (2, Fraction(1, 3), 0)
