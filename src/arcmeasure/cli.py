@@ -15,7 +15,7 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
+from math import lcm
 
 from .analysis import (Conclusion, inverse_mapping_report,
                        measure_comparison_report)
@@ -27,7 +27,8 @@ from .measure import (DivergentExponent, ResolutionData, ResolutionDiagram,
                       compare_germ_measures, germ_measure, motivic_integral)
 from .polynomials import (ConstantInput, PolySystem,
                           hypersurface_singular_ideal, parse_poly, render_poly)
-from .series import ArcJet, compose, jet_equations, render_trunc
+from .series import (ArcJet, TruncSeries, compose, jet_equations,
+                     render_trunc)
 
 SCHEMA_VERSION = 1
 DEFAULT_CAP = 12
@@ -52,24 +53,21 @@ class LiteralLimit(PrecisionExhausted):
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _fraction(value, path) -> Fraction:
-    if isinstance(value, bool):
+def _rational(value, path):
+    """``(p, q)``, ``q > 0``, for an integer or a ``'p/q'`` string."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SchemaError(path, "expected an integer or 'p/q' string")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        # [-]p[/q] only: no decimals, exponents, spaces or underscores
-        m = _RATIONAL.fullmatch(value)
-        if m:
-            try:
-                p, q = [_int(digits, 0, "digits") for digits in m.groups("1")]
-            except ParseError:  # a literal over _MAX_DIGITS digits
-                pass
-            else:
-                if q:
-                    return Fraction(p, q)
+        return value, 1
+    # [-]p[/q] only: no decimals, exponents, spaces or underscores
+    m = _RATIONAL.fullmatch(value)
+    try:
+        p, q = [_int(d, 0, "digits") for d in m.groups("1")] if m else (0, 0)
+    except ParseError:  # a literal over _MAX_DIGITS digits
+        q = 0
+    if not q:
         raise SchemaError(path, f"bad rational literal {value!r}")
-    raise SchemaError(path, "expected an integer or 'p/q' string")
+    return p, q
 
 
 def _variables(payload, path):
@@ -151,17 +149,19 @@ def _run_compose(payload, options):
         raise SchemaError("payload.arc",
                           f"expected {len(variables)} component rows")
     cap = options["cap"]
-    rows = []
+    components = []
     for i, row in enumerate(arc_field):
         if not isinstance(row, list):
             raise SchemaError(f"payload.arc[{i}]", "expected a list")
         if len(row) > cap + 1:
             raise SchemaError(f"payload.arc[{i}]",
                               f"more than cap+1 = {cap + 1} coefficients")
-        rows.append([_fraction(v, f"payload.arc[{i}][{j}]")
-                     for j, v in enumerate(row)])
-    arc = ArcJet.from_coeffs(rows, cap)
-    result = compose(f, arc)
+        pairs = [_rational(v, f"payload.arc[{i}][{j}]")
+                 for j, v in enumerate(row)]
+        den = lcm(*[q for _, q in pairs])  # each row over one lcm
+        nums = [p * (den // q) for p, q in pairs] + [0] * (cap + 1 - len(row))
+        components.append(TruncSeries._reduced(nums, den))
+    result = compose(f, ArcJet(components))
     text = render_trunc(result)
     return 0, text, {"series": text, "cap": cap}
 

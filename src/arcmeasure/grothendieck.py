@@ -23,7 +23,8 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from math import gcd
 from operator import add
 
 NEG_INF = float("-inf")
@@ -96,12 +97,10 @@ def _check_int(value, what):
     return value
 
 
-def _coefficient(c) -> Fraction:
+def _coefficient(c):
     # exact rationals only: a float, bool or string is an input error
-    if isinstance(c, Fraction):
+    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
         return c
-    if isinstance(c, int) and not isinstance(c, bool):
-        return Fraction(c)
     raise TypeError(f"coefficient {c!r} is not an int or Fraction")
 
 
@@ -572,21 +571,28 @@ def _power_text(name: str, k: int) -> str:
     return f"{name}^{_number_text(k)}" if k < 0 or k > 1 else name * k
 
 
-def _signed_sum(coeffs, monos, number=abs) -> str:
+def _signed_sum(coeffs, monos, den=1, number=str) -> str:
     """``c1*m1 - c2*m2 + ...``, the term rule of every canonical text.
 
-    Coefficients are nonzero ints or Fractions in print order, one per
-    monomial text; an empty monomial is the constant term, and magnitude
-    1 is left off a nonconstant monomial.  A term prints ``number(c)``,
-    or past the interpreter's int digit limit ``_number_text(abs(c))``.
+    Coefficients are nonzero ints over one ``den``, in print order, one
+    per monomial text; each prints in lowest terms as ``number`` of its
+    ``p`` or ``p/q``, or past the interpreter's int digit limit as
+    ``_number_text``.  An empty monomial is the constant term, and
+    magnitude 1 is left off a nonconstant monomial.
     """
     try:
-        text = "".join([
-            f"{' - ' if c < 0 else ' + '}{x}*{m}" if m and c != 1 and c != -1
-            else f"{' - ' if c < 0 else ' + '}{m or x}"
-            for c, x, m in zip(coeffs, map(number, coeffs), monos)])
+        if den == 1:
+            xs = [number(abs(c)) for c in coeffs]
+        else:
+            xs = [number(abs(c) // g) if g == den
+                  else f"{number(abs(c) // g)}/{number(den // g)}"
+                  for c, g in zip(coeffs, map(gcd, coeffs, repeat(den)))]
     except ValueError:  # over the interpreter's int digit limit
-        return _signed_sum(coeffs, monos, lambda c: _number_text(abs(c)))
+        return _signed_sum(coeffs, monos, den, _number_text)
+    text = "".join([
+        f"{' - ' if c < 0 else ' + '}{x}*{m}" if m and x != "1"
+        else f"{' - ' if c < 0 else ' + '}{m or x}"
+        for c, x, m in zip(coeffs, xs, monos)])
     return f"-{text[3:]}" if text[1:2] == "-" else text[3:]
 
 
@@ -601,13 +607,13 @@ def render(a) -> str:
     return _series_text("u", a.terms, sorted(a.terms, reverse=True), a.floor)
 
 
-def _series_text(name, terms, exps, floor):
-    """``terms[e]*name^e`` for e in ``exps``, O tail at a finite ``floor``."""
+def _series_text(name, terms, exps, floor, den=1):
+    """``terms[e]/den*name^e`` for e in ``exps``, O tail at a finite floor."""
     try:  # the texts of _power_text, faster
         monos = [f"{name}^{k}" if k < 0 or k > 1 else name * k for k in exps]
     except ValueError:  # over the interpreter's int digit limit
         monos = [_power_text(name, k) for k in exps]
-    body = _signed_sum([terms[e] for e in exps], monos)
+    body = _signed_sum([terms[e] for e in exps], monos, den)
     if floor == NEG_INF:
         return body or "0"
     tail = f"O({name}^{_number_text(int(floor))})"
@@ -659,14 +665,12 @@ def _int(text, offset, what):
 
 
 def _number_text(n):
-    """``str(n)`` of an int or a Fraction, past any int digit limit.
+    """``str(n)`` of an int, past any int digit limit.
 
     ``Decimal`` ignores ``sys.set_int_max_str_digits``, so a result
     prints the same text under every setting.
     """
-    if n.denominator != 1:
-        return f"{_number_text(n.numerator)}/{_number_text(n.denominator)}"
-    return str(Decimal(n.numerator))
+    return str(Decimal(n))
 
 
 def _unexpected(s, pos):

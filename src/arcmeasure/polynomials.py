@@ -1,15 +1,17 @@
 """Sparse multivariate polynomials with rational coefficients.
 
-Terms are stored as a map from exponent vector to coefficient, with the
-exponent vector aligned to an explicit ordered tuple of variable names.
-Nothing here is clever; the point is exactness and a deterministic text
-form shared with the command line tools.
+A polynomial is stored as ints over one positive denominator: ``_num``
+maps each exponent vector, aligned with an ordered tuple of variable
+names, to a nonzero int, and ``den`` is kept so that ``gcd(den,
+*coefficients) == 1`` (1 for zero).  ``terms`` is a ``Fraction`` view
+rebuilt on every read.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, compress
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, mul
 
 from .grothendieck import (ParseError, _add_terms, _check_int, _coefficient,
@@ -25,10 +27,16 @@ class ConstantInput(ValueError):
     """A nonconstant polynomial was required."""
 
 
+def _over_lcm(values):
+    """Ints and Fractions ``values`` as canonical ints over their lcm."""
+    den = lcm(*[c.denominator for c in values])
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
 class MultiPoly(_Frozen):
     """Polynomial in the given variables over the rationals."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_num", "den")
 
     def __init__(self, variables, terms=None):
         variables = tuple(variables)
@@ -41,10 +49,18 @@ class MultiPoly(_Frozen):
                     f"{len(variables)} variables")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent in polynomial")
-            c = _coefficient(c)
-            if c:
+            if _coefficient(c):
                 clean[exps] = c
-        self._set(variables=variables, terms=clean)
+        nums, den = _over_lcm(list(clean.values()))
+        self._set(variables=variables, _num=dict(zip(clean, nums)), den=den)
+
+    @classmethod
+    def _reduced(cls, variables, num, den) -> "MultiPoly":
+        """The polynomial ``num/den``, brought to lowest terms."""
+        g = 1 if den == 1 else gcd(den, *num.values())
+        if g != 1:
+            num, den = {e: c // g for e, c in num.items()}, den // g
+        return cls._new(variables, num, den)
 
     @classmethod
     def zero(cls, variables) -> "MultiPoly":
@@ -53,34 +69,37 @@ class MultiPoly(_Frozen):
     @classmethod
     def constant(cls, variables, value) -> "MultiPoly":
         variables = tuple(variables)
-        value = _coefficient(value)
-        return cls._new(variables, {(0,) * len(variables): value} if value
-                        else {})
+        return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
     def variable(cls, variables, index: int) -> "MultiPoly":
         variables = tuple(variables)
         exps = [0] * len(variables)
         exps[index] = 1
-        return cls._new(variables, {tuple(exps): Fraction(1)})
+        return cls._new(variables, {tuple(exps): 1}, 1)
+
+    @property
+    def terms(self):
+        """Exponent vector to ``Fraction`` coefficient, built on each read."""
+        return {e: Fraction(c, self.den) for e, c in self._num.items()}
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self._num)
 
     def __eq__(self, other):
         if isinstance(other, bool):  # no ring element, as for MotiveSeries
             return NotImplemented
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.variables, other)
-        if isinstance(other, MultiPoly):
-            return self.variables == other.variables and self.terms == other.terms
-        return NotImplemented
+        return _Frozen.__eq__(self, other)
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        if self.is_constant():  # equal to its value
+            return hash(Fraction(sum(self._num.values()), self.den))
+        return hash((self.variables, frozenset(self._num.items()), self.den))
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
@@ -91,54 +110,57 @@ class MultiPoly(_Frozen):
             return other
         return None
 
-    def __neg__(self):
-        return MultiPoly._new(self.variables,
-                              {e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
+    def _sum(self, other, sign):
+        """``self + sign * other`` over the lcm of the denominators."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return MultiPoly._new(self.variables, _add_terms(self.terms, o.terms))
+        den = lcm(self.den, o.den)
+        a, b = (p._num if p.den == den else
+                {e: c * (den // p.den) for e, c in p._num.items()}
+                for p in (self, o))
+        return MultiPoly._reduced(self.variables, _add_terms(a, b, sign), den)
+
+    def __neg__(self):
+        return MultiPoly._new(self.variables,
+                              {e: -c for e, c in self._num.items()}, self.den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return MultiPoly._new(self.variables,
-                              _add_terms(self.terms, o.terms, -1))
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return MultiPoly._new(self.variables,
-                              _add_terms(o.terms, self.terms, -1))
+        return -self + other
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return MultiPoly._new(self.variables,
-                              _mul_terms(self.terms, o.terms, _add_exponents))
+        return MultiPoly._reduced(
+            self.variables, _mul_terms(self._num, o._num, _add_exponents),
+            self.den * o.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        one = {(0,) * len(self.variables): Fraction(1)}
-        return MultiPoly._new(self.variables,
-                              _pow_terms(self.terms, n, one, _add_exponents))
+        # Gauss's lemma: the content of a power is the power of the content
+        one = {(0,) * len(self.variables): 1}
+        return MultiPoly._new(
+            self.variables, _pow_terms(self._num, n, one, _add_exponents),
+            self.den ** n)
 
     def diff(self, index: int) -> "MultiPoly":
         """Partial derivative with respect to ``variables[index]``."""
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._num.items():
             k = e[index]
             if k:  # distinct terms differentiate to distinct exponents
                 out[e[:index] + (k - 1,) + e[index + 1:]] = c * k
-        return MultiPoly._new(self.variables, out)
+        return MultiPoly._reduced(self.variables, out, self.den)
 
     def evaluate(self, values) -> Fraction:
         """Value at a rational point, given per variable name or position."""
@@ -148,7 +170,7 @@ class MultiPoly(_Frozen):
             point = [_coefficient(v) for v in values]
             if len(point) != len(self.variables):
                 raise ArityMismatch("point has wrong number of coordinates")
-        return _evaluate(self.terms, point, mul, add, Fraction(0))
+        return _evaluate(self._num, point, mul, add, Fraction(0)) / self.den
 
     def __repr__(self):
         return f"MultiPoly({render_poly(self)!r}, vars={self.variables})"
@@ -160,10 +182,8 @@ def _add_exponents(e1, e2):
 
 def render_poly(p: MultiPoly) -> str:
     """Deterministic text form with explicit ``*`` between factors."""
-    terms = sorted(zip(map(sum, p.terms), p.terms, p.terms.values()),
+    terms = sorted(zip(map(sum, p._num), p._num, p._num.values()),
                    reverse=True)  # graded lexicographic, largest first
-    # an integral coefficient goes in as an int, which prints faster
-    coeffs = [c.numerator if c.denominator == 1 else c for _, _, c in terms]
     try:  # a factor per variable of nonzero power, in variable order
         monos = ["*".join([f"{v}^{k}" if k > 1 else v for v, k in
                            zip(compress(p.variables, e), filter(None, e))])
@@ -171,7 +191,7 @@ def render_poly(p: MultiPoly) -> str:
     except ValueError:  # over the interpreter's int digit limit
         monos = ["*".join(filter(None, map(_power_text, p.variables, e)))
                  for _, e, _ in terms]
-    return _signed_sum(coeffs, monos) or "0"
+    return _signed_sum([c for _, _, c in terms], monos, p.den) or "0"
 
 
 def parse_poly(text: str, variables) -> MultiPoly:
@@ -192,8 +212,9 @@ def parse_poly(text: str, variables) -> MultiPoly:
         if min(exponents, default=0) < 0:
             raise ParseError("negative exponent in a polynomial", offset)
         terms[exponents] = terms.get(exponents, 0) + c
-    return MultiPoly._new(variables,
-                          {e: Fraction(c) for e, c in terms.items() if c})
+    terms = {e: c for e, c in terms.items() if c}
+    nums, den = _over_lcm(list(terms.values()))
+    return MultiPoly._new(variables, dict(zip(terms, nums)), den)
 
 
 class PolySystem(_Frozen):

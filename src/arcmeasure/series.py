@@ -1,21 +1,23 @@
 """Truncated power series in t and the order calculus built on them.
 
 An arc is represented by its jet: one truncated series per ambient
-coordinate, all sharing a cap.  Composition of a polynomial with a jet
-is exact modulo ``t^(cap+1)``, so every vanishing order computed here is
-either exact or reported as a lower bound, never silently truncated.
+coordinate, all sharing a cap.  A series is stored as ints over one
+denominator, in lowest terms; ``coeffs`` is a ``Fraction`` view rebuilt
+on every read.  Composition of a polynomial with a jet is exact modulo
+``t^(cap+1)``, so every vanishing order computed here is either exact or
+reported as a lower bound, never silently truncated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
-from operator import add, sub
+from math import gcd, lcm, prod
+from operator import add
 
 from .grothendieck import (_add_terms, _coefficient, _evaluate, _Frozen,
                            _mul_terms, _series_text)
 from .polynomials import (ArityMismatch, MultiPoly, PolySystem,
-                          _jacobian_ideal, matrix_minors)
+                          _jacobian_ideal, _over_lcm, matrix_minors)
 
 
 class IndeterminateAtCap(ArithmeticError):
@@ -25,7 +27,7 @@ class IndeterminateAtCap(ArithmeticError):
 class TruncSeries(_Frozen):
     """Rational coefficients ``c_0 .. c_n`` of a series modulo ``t^(n+1)``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs, cap=None):
         coeffs = [_coefficient(c) for c in coeffs]
@@ -34,49 +36,54 @@ class TruncSeries(_Frozen):
                 raise ValueError("cap must be nonnegative")
             if len(coeffs) > cap + 1:
                 raise ValueError("more coefficients than the cap allows")
-            coeffs += [Fraction(0)] * (cap + 1 - len(coeffs))
+            coeffs += [0] * (cap + 1 - len(coeffs))
         elif not coeffs:
             raise ValueError("need at least the constant coefficient")
-        self._set(coeffs=tuple(coeffs))
+        nums, den = _over_lcm(coeffs)
+        self._set(nums=tuple(nums), den=den)
+
+    @classmethod
+    def _reduced(cls, nums, den) -> "TruncSeries":
+        """The series ``nums/den``, brought to lowest terms."""
+        g = 1 if den == 1 else gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+        return cls._new(tuple(nums), den)
 
     @classmethod
     def monomial(cls, exponent: int, cap: int, coefficient=1) -> "TruncSeries":
         coefficient = _coefficient(coefficient)
-        if exponent > cap:
-            return cls([], cap)
-        coeffs = [Fraction(0)] * (cap + 1)
-        coeffs[exponent] = coefficient
+        coeffs = [0] * (cap + 1)
+        if exponent <= cap:
+            coeffs[exponent] = coefficient
         return cls(coeffs)
 
     @property
+    def coeffs(self):
+        """The ``Fraction`` coefficients, built on each read."""
+        return tuple([Fraction(c, self.den) for c in self.nums])
+
+    @property
     def cap(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
-    def _check_cap(self, other):
-        if not isinstance(other, TruncSeries):
-            raise TypeError("expected TruncSeries")
-        if other.cap != self.cap:
-            raise ArityMismatch("series caps differ")
-
-    def __add__(self, other):
-        self._check_cap(other)
-        return TruncSeries._new(tuple(map(add, self.coeffs, other.coeffs)))
+    def __add__(self, other):  # x + y along the arc (self, other)
+        return compose(MultiPoly(("x", "y"), {(1, 0): 1, (0, 1): 1}),
+                       ArcJet((self, other)))
 
     def __sub__(self, other):
-        self._check_cap(other)
-        return TruncSeries._new(tuple(map(sub, self.coeffs, other.coeffs)))
+        return compose(MultiPoly(("x", "y"), {(1, 0): 1, (0, 1): -1}),
+                       ArcJet((self, other)))
 
     def __neg__(self):
-        return TruncSeries._new(tuple([-a for a in self.coeffs]))
+        return TruncSeries._new(tuple([-a for a in self.nums]), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _coefficient(other)  # a bool is a TypeError
-            return TruncSeries._new(tuple([c * other for c in self.coeffs]))
-        self._check_cap(other)
+        if isinstance(other, (int, Fraction)):  # a bool is a TypeError
+            return compose(MultiPoly(("x",), {(1,): other}), ArcJet((self,)))
         return compose(MultiPoly(("x", "y"), {(1, 1): 1}),
                        ArcJet((self, other)))
 
@@ -88,8 +95,8 @@ class TruncSeries(_Frozen):
 
 def render_trunc(s: TruncSeries) -> str:
     """Ascending powers of t, explicit cap: ``t^2 - t^3 + O(t^4)``."""
-    exps = [e for e, c in enumerate(s.coeffs) if c]
-    return _series_text("t", s.coeffs, exps, s.cap + 1)
+    exps = [e for e, c in enumerate(s.nums) if c]
+    return _series_text("t", s.nums, exps, s.cap + 1, s.den)
 
 
 class ArcJet(_Frozen):
@@ -151,7 +158,7 @@ class SeriesOrder(_Frozen):
 
 def series_order(s: TruncSeries) -> SeriesOrder:
     """Index of the first nonzero coefficient, or a cap+1 lower bound."""
-    for i, c in enumerate(s.coeffs):
+    for i, c in enumerate(s.nums):
         if c:
             return SeriesOrder(i)
     return SeriesOrder.at_least(s.cap + 1)
@@ -188,10 +195,10 @@ def min_series_order(orders) -> SeriesOrder:
 def compose(f: MultiPoly, arc: ArcJet) -> TruncSeries:
     """Exact value of ``f`` along the arc, modulo ``t^(cap+1)``.
 
-    Component ``j`` is scaled by the lcm ``D_j`` of its denominators and
-    each term ``a_e*prod x_j^k_j`` brought to the lcm ``L`` of the
-    ``den(a_e)*prod D_j^k_j``, so the result is an integer series over
-    ``L``.  It is computed in one int: ``t -> 2^w`` maps
+    The components are brought to the lcm ``D`` of their denominators
+    and term ``a_e*prod x_j^k_j`` of ``f = sum a_e x^e / F`` scaled by
+    ``D^(d-|e|)``, ``d = deg f``, so the result is an integer series
+    over ``F*D^d``.  It is computed in one int: ``t -> 2^w`` maps
     ``Z[t]/(t^(cap+1))`` to ``Z/2^(w(cap+1))``, so a series product is
     one big-int multiply, which may wrap.  ``B = sum |a_e| prod
     ||X_j^k_j||``, ``||y||`` summing y's coefficient sizes below the cap,
@@ -201,17 +208,12 @@ def compose(f: MultiPoly, arc: ArcJet) -> TruncSeries:
     if len(f.variables) != len(arc):
         raise ArityMismatch(
             f"{len(f.variables)} variables but {len(arc)} arc components")
-    comps, scales = [], []
-    for c in arc.components:
-        d = lcm(*(x.denominator for x in c.coeffs))
-        comps.append([x.numerator * (d // x.denominator) for x in c.coeffs])
-        scales.append(d)
-    dens = {exps: c.denominator * prod(d ** k for d, k in zip(scales, exps))
-            for exps, c in f.terms.items()}
-    common = lcm(*dens.values())
+    d = lcm(*[c.den for c in arc.components])
+    comps = [[x * (d // c.den) for x in c.nums] for c in arc.components]
+    degree = max(map(sum, f._num), default=0)
+    terms = {exps: a * d ** (degree - sum(exps))
+             for exps, a in f._num.items()}
     cap = arc.cap
-    terms = {exps: c.numerator * (common // dens[exps])
-             for exps, c in f.terms.items()}
     sizes = [(abs(c[0]), sum(map(abs, c[1:]))) for c in comps]
     # past the cap, (h + r)^k keeps only its terms up to r^cap
     bound = sum(abs(a) * prod((h + r) ** k if k <= cap
@@ -227,9 +229,9 @@ def compose(f: MultiPoly, arc: ArcJet) -> TruncSeries:
     # 2^(w-1) added to every field moves each digit into [0, 2^w)
     acc += int.from_bytes(half.to_bytes(size, "little") * n, "little")
     buf = (acc & mask).to_bytes(size * n, "little")
-    return TruncSeries._new(tuple([
-        Fraction(int.from_bytes(buf[i:i + size], "little") - half, common)
-        for i in range(0, size * n, size)]))
+    return TruncSeries._reduced(
+        [int.from_bytes(buf[i:i + size], "little") - half
+         for i in range(0, size * n, size)], f.den * d ** degree)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +281,8 @@ def jet_equations(system: PolySystem, level: int) -> PolySystem:
 def _jet_expansion(g: MultiPoly, level: int, jet_vars):
     """Nonzero coefficients of ``t^0 .. t^level`` in ``g(sum_i a_{j,i} t^i)``.
 
-    The expansion runs over ints: ``g`` is scaled by the lcm ``L`` of its
-    denominators and the result divided by ``L``.  A monomial
+    The expansion runs over the ints of ``g`` over its denominator, and
+    each slice is brought to lowest terms by one gcd.  A monomial
     ``t^e * prod a^k`` is one int key: ``size`` bytes per jet variable,
     with ``256^size > deg g``, and ``e`` above the last field.  Every
     cached power and every term has total jet degree at most ``deg g``,
@@ -289,12 +291,10 @@ def _jet_expansion(g: MultiPoly, level: int, jet_vars):
     the kernel's ``above`` cut drops every product past ``t^level``.
     """
     n, nv = level + 1, len(jet_vars)
-    size = max(1, (max(sum(e) for e in g.terms).bit_length() + 7) // 8)
+    size = max(1, (max(map(sum, g._num)).bit_length() + 7) // 8)
     w = 8 * size
     shift = w * nv
-    big_l = lcm(*(c.denominator for c in g.terms.values()))
-    terms = {e: {0: c.numerator * (big_l // c.denominator)}
-             for e, c in g.terms.items()}
+    terms = {e: {0: c} for e, c in g._num.items()}
     comps = [{-(i << shift | 1 << w * (j * n + i)): 1 for i in range(n)}
              for j in range(len(g.variables))]
     above = -(n << shift)
@@ -302,16 +302,14 @@ def _jet_expansion(g: MultiPoly, level: int, jet_vars):
                     _add_terms, {})
     by_t = [{} for _ in range(n)]
     mask = (1 << shift) - 1
-    # Fraction(c) skips the gcd that Fraction(c, 1) would run
-    coefficient = Fraction if big_l == 1 else lambda c: Fraction(c, big_l)
     for key, c in acc.items():
         key = -key
         buf = (key & mask).to_bytes(size * nv, "little")
         exps = tuple(buf) if size == 1 else tuple(
             int.from_bytes(buf[i:i + size], "little")
             for i in range(0, size * nv, size))
-        by_t[key >> shift][exps] = coefficient(c)
-    return [MultiPoly._new(jet_vars, t) for t in by_t if t]
+        by_t[key >> shift][exps] = c
+    return [MultiPoly._reduced(jet_vars, t, g.den) for t in by_t if t]
 
 
 def satisfies_jet_equations(equations: PolySystem, jet_values) -> bool:

@@ -230,3 +230,10 @@ def test_singular_ideal_rejects_constant():
 def test_render_graded_lex():
     assert render_poly(P("y + x^2*y + x")) == "x^2*y + x + y"
     assert render_poly(MultiPoly.zero(XY)) == "0"
+
+
+@pytest.mark.parametrize("value", [3, -7, Fraction(5, 6), Fraction(-1, 4), 0])
+def test_constant_polynomials_hash_as_their_value(value):
+    for p in (MultiPoly.constant(XY, value), P(str(value))):
+        assert p == value and hash(p) == hash(value)
+        assert value in {p} and p in {value}
