@@ -121,13 +121,6 @@ class TheoremReport(_Frozen):
         }
 
 
-def _witness_json(witness):
-    if witness is None:
-        return None
-    name, contacts = witness
-    return {"stratum": name, "contacts": list(contacts)}
-
-
 def _bound_hypothesis(verdict, side, hypotheses, certificates):
     """Record the Jacobian bound on ``side`` ("below" or "above").
 
@@ -139,8 +132,9 @@ def _bound_hypothesis(verdict, side, hypotheses, certificates):
                        f"componentwise {rule} on every stratum" if ok
                        else "violating contact vector recorded"))
     if not ok:
-        certificates[f"witness_{side}"] = _witness_json(
-            getattr(verdict, f"witness_{side}"))
+        name, contacts = getattr(verdict, f"witness_{side}")
+        certificates[f"witness_{side}"] = {"stratum": name,
+                                           "contacts": list(contacts)}
     return ok
 
 

@@ -292,40 +292,28 @@ class MotiveSeries(_Frozen):
                                  self.floor, None)
 
     def __add__(self, other):
-        o = _coerce_series(other)
-        if o is None:
-            return NotImplemented
-        return _series_sum(self, o, 1)
+        return _series_sum(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce_series(other)
-        if o is None:
-            return NotImplemented
-        return _series_sum(self, o, -1)
+        return _series_sum(self, other, -1)
 
     def __rsub__(self, other):
-        o = _coerce_series(other)
-        if o is None:
-            return NotImplemented
-        return _series_sum(o, self, -1)
+        return _series_sum(other, self, -1)
 
     def __mul__(self, other):
         o = _coerce_series(other)
         if o is None:
             return NotImplemented
-        if self.floor == o.floor == NEG_INF:
-            return MotiveSeries._new(_mul_terms(self.terms, o.terms, add),
-                                     NEG_INF, None)
         # Unknown tails contaminate degrees up to floor+top of the other
-        # factor, and the two tails contaminate floor_a+floor_b.
+        # factor, and the two tails contaminate floor_a+floor_b.  That is
+        # an int, or NEG_INF when the product is exact.
         floor = max(self.floor + o.top, o.floor + self.top,
                     self.floor + o.floor)
-        if floor != NEG_INF:
-            floor = int(floor)
-        return MotiveSeries._new(_mul_terms(self.terms, o.terms, add, floor),
-                                 floor, None)
+        terms = _mul_terms(self.terms, o.terms, add,
+                           None if floor == NEG_INF else floor)
+        return MotiveSeries._new(terms, floor, None)
 
     __rmul__ = __mul__
 
@@ -365,6 +353,10 @@ def _above(terms, floor):
 
 
 def _series_sum(a, b, sign):
+    """``a + sign * b`` for ring elements; NotImplemented for anything else."""
+    a, b = _coerce_series(a), _coerce_series(b)
+    if a is None or b is None:
+        return NotImplemented
     floor = max(a.floor, b.floor)
     terms = _add_terms(a.terms, b.terms, sign)
     if a.floor != b.floor:

@@ -62,10 +62,6 @@ class MultiplicityVector(tuple):
             raise ValueError("multiplicities must be nonnegative")
         return super().__new__(cls, values)
 
-    @property
-    def values(self) -> tuple:
-        return tuple(self)
-
 
 class SNCStratum(_Frozen):
     """Stratum of the divisor stratification in a d-dimensional space.
@@ -133,10 +129,6 @@ class ResolutionData(_Frozen):
         (jac_mults,) = _legs(strata, jac_mults)
         self._set(strata=strata, jac_mults=jac_mults)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.strata[0].ambient_dim
-
     def to_json(self) -> dict:
         return _resolution_to_json(self.strata, p_mults=self.jac_mults)
 
@@ -161,10 +153,6 @@ class ResolutionDiagram(_Frozen):
         strata = tuple(strata)
         p_mults, q_mults = _legs(strata, p_mults, q_mults)
         self._set(strata=strata, p_mults=p_mults, q_mults=q_mults)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.strata[0].ambient_dim
 
     def source_data(self) -> ResolutionData:
         return ResolutionData(self.strata, self.p_mults)

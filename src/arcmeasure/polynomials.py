@@ -74,6 +74,8 @@ class MultiPoly(_Frozen):
     @classmethod
     def variable(cls, variables, index: int) -> "MultiPoly":
         variables = tuple(variables)
+        if not 0 <= _check_int(index, "index") < len(variables):
+            raise IndexError(f"no variable at index {index}")
         exps = [0] * len(variables)
         exps[index] = 1
         return cls._new(variables, {tuple(exps): 1}, 1)
@@ -134,7 +136,7 @@ class MultiPoly(_Frozen):
         return self._sum(other, -1)
 
     def __rsub__(self, other):
-        return -self + other
+        return (-self)._sum(other, 1)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -155,6 +157,8 @@ class MultiPoly(_Frozen):
 
     def diff(self, index: int) -> "MultiPoly":
         """Partial derivative with respect to ``variables[index]``."""
+        if not 0 <= _check_int(index, "index") < len(self.variables):
+            raise IndexError(f"no variable at index {index}")
         out = {}
         for e, c in self._num.items():
             k = e[index]
@@ -220,8 +224,8 @@ def parse_poly(text: str, variables) -> MultiPoly:
 class PolySystem(_Frozen):
     """Finite generating set over a common variable tuple.
 
-    Zero generators are dropped and duplicates collapse; input order of
-    the survivors is preserved.
+    Zero generators are dropped, and duplicates, by ``==`` and hash,
+    collapse to their first occurrence, kept in input order.
     """
 
     __slots__ = ("variables", "generators")
@@ -230,15 +234,15 @@ class PolySystem(_Frozen):
         variables = tuple(variables)
         if not variables:
             raise ValueError("a system needs at least one variable")
-        seen = []
+        unique = {}
         for g in generators:
             if not isinstance(g, MultiPoly):
                 raise TypeError("generators must be MultiPoly")
             if g.variables != variables:
                 raise ArityMismatch("generator over a different variable set")
-            if g and g not in seen:
-                seen.append(g)
-        self._set(variables=variables, generators=tuple(seen))
+            if g:
+                unique.setdefault(g)
+        self._set(variables=variables, generators=tuple(unique))
 
     def __iter__(self):
         return iter(self.generators)

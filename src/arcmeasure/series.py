@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add
 
-from .grothendieck import (_add_terms, _coefficient, _evaluate, _Frozen,
-                           _mul_terms, _series_text)
+from .grothendieck import (_add_terms, _check_int, _coefficient, _evaluate,
+                           _Frozen, _mul_terms, _series_text)
 from .polynomials import (ArityMismatch, MultiPoly, PolySystem,
                           _jacobian_ideal, _over_lcm, matrix_minors)
 
@@ -32,7 +32,7 @@ class TruncSeries(_Frozen):
     def __init__(self, coeffs, cap=None):
         coeffs = [_coefficient(c) for c in coeffs]
         if cap is not None:
-            if cap < 0:
+            if _check_int(cap, "cap") < 0:
                 raise ValueError("cap must be nonnegative")
             if len(coeffs) > cap + 1:
                 raise ValueError("more coefficients than the cap allows")
@@ -52,11 +52,10 @@ class TruncSeries(_Frozen):
 
     @classmethod
     def monomial(cls, exponent: int, cap: int, coefficient=1) -> "TruncSeries":
-        coefficient = _coefficient(coefficient)
-        coeffs = [0] * (cap + 1)
-        if exponent <= cap:
-            coeffs[exponent] = coefficient
-        return cls(coeffs)
+        if _check_int(exponent, "exponent") < 0:
+            raise ValueError("negative exponent in a series")
+        coeffs = [0] * min(exponent, cap + 1) + [_coefficient(coefficient)]
+        return cls(coeffs[:cap + 1], cap)
 
     @property
     def coeffs(self):
@@ -108,11 +107,10 @@ class ArcJet(_Frozen):
         components = tuple(components)
         if not components:
             raise ValueError("an arc needs at least one component")
-        cap = components[0].cap
         for c in components:
             if not isinstance(c, TruncSeries):
                 raise TypeError("components must be TruncSeries")
-            if c.cap != cap:
+            if c.cap != components[0].cap:
                 raise ArityMismatch("components must share a cap")
         self._set(components=components)
 

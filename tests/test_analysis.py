@@ -106,6 +106,8 @@ def test_verdict_structural_invariant():
     with pytest.raises(ValueError):
         BoundednessVerdict(bounded_above=False, bounded_below=True)
     with pytest.raises(ValueError):
+        BoundednessVerdict(bounded_above=True, bounded_below=False)
+    with pytest.raises(ValueError):
         BoundednessVerdict(bounded_above=True, bounded_below=True,
                            witness_above=("s", (1,)))
 
@@ -269,6 +271,11 @@ def test_comparison_randomized_consistency():
 
 def P1(text):
     return parse_poly(text, ("x",))
+
+
+def test_probe_needs_an_arc():
+    with pytest.raises(ValueError):
+        inner_lipschitz_probe([P1("1")], [])
 
 
 def test_probe_identity_chart():

@@ -82,6 +82,18 @@ def test_descriptor_rejects_non_int_level_and_dim(field, bad):
         CylinderDescriptor(data["level"], mono(1), data["dim"]).as_stable()
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: StableSetDescriptor(-1, mono(1), 1), ValueError),
+    (lambda: StableSetDescriptor(1, mono(1), 0), ValueError),
+    (lambda: MeasurableDescriptor([(mono(1), -3)]), TypeError),
+    (lambda: catalog.blowup_data(0), ValueError),
+], ids=["negative-level", "zero-dim", "approximant-not-stable",
+        "blowup-of-no-space"])
+def test_descriptors_reject_out_of_range_input(build, error):
+    with pytest.raises(error):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # cylinders
 

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcmeasure import (NEG_INF, ONE, U, ZERO, ArityMismatch, BoundViolated,
-                        LaurentPoly, MotiveSeries, MultiPoly, Order,
-                        PrecisionExhausted, RingParseError, TruncSeries,
-                        geometric_sum, leq_order, limit_of_sequence,
-                        parse_motive, parse_poly, render, render_poly,
-                        render_trunc, virtual_dim)
+from arcmeasure import (NEG_INF, ONE, U, ZERO, ArcJet, ArityMismatch,
+                        BoundViolated, LaurentPoly, MotiveSeries, MultiPoly,
+                        Order, PrecisionExhausted, RingParseError,
+                        TruncSeries, geometric_sum, leq_order,
+                        limit_of_sequence, parse_motive, parse_poly, render,
+                        render_poly, render_trunc, virtual_dim)
 
 
 def mono(e, c=1):
@@ -70,6 +70,25 @@ def test_mul_two_unknown_tails():
     a = MotiveSeries({}, -3)
     b = MotiveSeries({}, -4)
     assert (a * b).floor == -7
+
+
+@pytest.mark.parametrize("a, b, product", [
+    ("u + 1", "u - 1", "u^2 - 1"),                    # exact x exact
+    ("u^2 + 1", "1 + O(u^-3)", "u^2 + 1 + O(u^-1)"),  # exact x floored
+    ("u^-1", "1 + O(u^-3)", "u^-1 + O(u^-4)"),
+    ("0", "1 + O(u^-3)", "0"),                         # zero x floored
+    ("O(u^-3)", "u + O(u^-2)", "O(u^-2)"),
+    ("u + 1 + O(u^-2)", "u^2 + O(u^-1)", "u^3 + u^2 + O(u^0)"),
+])
+def test_product_floors_follow_the_tail_rule(a, b, product):
+    # floor = max(floor_a + top_b, floor_b + top_a, floor_a + floor_b),
+    # an int, or NEG_INF when every sum has a NEG_INF part
+    a, b = parse_motive(a), parse_motive(b)
+    floor = max(a.floor + b.top, b.floor + a.top, a.floor + b.floor)
+    for out in (a * b, b * a):
+        assert render(out) == product
+        assert out.floor == floor
+        assert out.is_exact() or type(out.floor) is int
 
 
 @given(laurents, laurents)
@@ -251,6 +270,12 @@ def test_limit_drops_terms_at_the_new_floor():
     assert -5 not in out.terms
 
 
+def test_limit_with_a_final_unbounded_declaration_stays_exact():
+    # a last bound of NEG_INF leaves no floor to raise to
+    out = limit_of_sequence([U ** 3, U ** 3 + U, U ** 3 + U], [5, NEG_INF])
+    assert out == U ** 3 + U and out.is_exact()
+
+
 def test_limit_bound_violated():
     with pytest.raises(BoundViolated):
         limit_of_sequence([U, U + mono(-3)], [-3])
@@ -343,6 +368,16 @@ def test_parse_rejects_minus_before_o_term():
         with pytest.raises(RingParseError) as info:
             parse_motive(text)
         assert info.value.offset == offset, text
+
+
+def test_parse_rejects_malformed_o_terms_at_their_offset():
+    for text, offset, message in (("u + O(x^-3)", 4, "expected 'O(u^'"),
+                                  ("u + O(u^-3", 10, "expected ')'"),
+                                  ("u + O(u^-3)u", 11, "trailing input")):
+        with pytest.raises(RingParseError) as info:
+            parse_motive(text)
+        assert info.value.offset == offset, text
+        assert message in str(info.value), text
 
 
 def test_parse_offsets_count_from_the_raw_text():
@@ -555,13 +590,37 @@ def test_ring_laws(ring, data):
     (lambda: MultiPoly(("x",), {(1.5,): 1}), TypeError),
     (lambda: MultiPoly(("x",), {("2",): 1}), TypeError),
     (lambda: MultiPoly(("x",), {(True,): 1}), TypeError),
+    (lambda: TruncSeries([1], -1), ValueError),
+    (lambda: TruncSeries([1, 2, 3], 1), ValueError),
+    (lambda: TruncSeries([]), ValueError),
+    (lambda: TruncSeries([1, 2], True), TypeError),
+    (lambda: TruncSeries.monomial(-1, 3), ValueError),
+    (lambda: ArcJet.from_coeffs([[1]], True), TypeError),
+    (lambda: MultiPoly.variable(("x", "y"), -1), IndexError),
+    (lambda: MultiPoly.variable(("x", "y"), 2), IndexError),
+    (lambda: MultiPoly.variable(("x", "y"), True), TypeError),
+    (lambda: U ** -1, ValueError),
+    (lambda: ZERO.leading_coefficient(), ValueError),
+    (lambda: virtual_dim(1), TypeError),
+    (lambda: leq_order(ONE, 1.5), TypeError),
+    (lambda: geometric_sum(1, NEG_INF), ValueError),
+    (lambda: limit_of_sequence([], []), ValueError),
+    (lambda: limit_of_sequence([ONE, ONE], []), ValueError),
+    (lambda: render(1), TypeError),
 ], ids=["laurent-float-exponent", "laurent-bool-exponent",
         "laurent-float-coefficient", "laurent-plus-bool",
         "series-bool-coefficient", "series-float-floor", "series-bool-floor",
         "from-poly-str-floor", "with-floor-float", "poly-negative-exponent",
         "poly-arity", "poly-bad-coefficient", "poly-bad-constant",
         "poly-float-coefficient", "poly-bool-coefficient",
-        "poly-float-exponent", "poly-str-exponent", "poly-bool-exponent"])
+        "poly-float-exponent", "poly-str-exponent", "poly-bool-exponent",
+        "trunc-negative-cap", "trunc-row-past-cap", "trunc-empty",
+        "trunc-bool-cap", "trunc-negative-exponent", "arc-bool-cap",
+        "poly-variable-negative-index", "poly-variable-index-past-end",
+        "poly-variable-bool-index", "negative-power",
+        "zero-leading-coefficient", "dim-of-int", "order-of-float",
+        "geometric-exact-floor", "limit-of-nothing", "limit-missing-bound",
+        "render-int"])
 def test_constructors_reject_malformed_terms(build, error):
     with pytest.raises(error):
         build()
@@ -579,6 +638,20 @@ def test_a_bool_is_no_ring_element(value):
         value + True
     with pytest.raises(TypeError):
         False * value
+
+
+@pytest.mark.parametrize("operation, text", [
+    (lambda: MotiveSeries({1: 1}, -3) - 1.5, "-: 'MotiveSeries' and 'float'"),
+    (lambda: 1.5 - MotiveSeries({1: 1}, -3), "-: 'float' and 'MotiveSeries'"),
+    (lambda: MotiveSeries({1: 1}, -3) * 1.5, "*: 'MotiveSeries' and 'float'"),
+    (lambda: True - ONE, "-: 'bool' and 'MotiveSeries'"),
+    (lambda: parse_poly("x + 1", ("x",)) * 1.5, "*: 'MultiPoly' and 'float'"),
+], ids=["series-minus-float", "float-minus-series", "series-times-float",
+        "bool-minus-one", "poly-times-float"])
+def test_unsupported_operands_name_both_types(operation, text):
+    with pytest.raises(TypeError) as info:
+        operation()
+    assert str(info.value) == f"unsupported operand type(s) for {text}"
 
 
 def test_canonical_form_never_stores_zero():

@@ -109,6 +109,23 @@ def test_stratum_validation():
         SNCStratum("s", (0,), parse_motive("1 + O(u^-3)"), 1)
 
 
+@pytest.mark.parametrize("build, error", [
+    (lambda: MultiplicityVector((1, -1)), ValueError),
+    (lambda: SNCStratum("s", (), LaurentPoly.one(), 0), ValueError),
+    (lambda: ord_jac_on_stratum([1, 2], [1]), IndexMismatch),
+    (lambda: ResolutionData((), ()), ValueError),
+    (lambda: ResolutionData(catalog.line_data().strata, ()), IndexMismatch),
+    (lambda: ResolutionData(
+        (SNCStratum("a", (0,), LaurentPoly.one(), 1),
+         SNCStratum("b", (0,), LaurentPoly.one(), 2)), ((0,), (0,))),
+     ValueError),
+], ids=["negative-mult", "zero-dim", "ord-lengths", "no-strata",
+        "missing-mults", "mixed-dims"])
+def test_measure_layer_rejects_out_of_range_data(build, error):
+    with pytest.raises(error):
+        build()
+
+
 @pytest.mark.parametrize("build", [
     lambda: MultiplicityVector((1.5, 2)),
     lambda: MultiplicityVector(("2",)),

@@ -65,6 +65,7 @@ def test_parse_rejects_bad_literals_at_their_offset():
     for text, offset, message in (("x + 1/0*y", 6, "zero denominator"),
                                   ("x^-1", 0, "negative exponent"),
                                   ("2^-1*x", 2, "negative power"),
+                                  ("x + O(u^2)", 4, "an O term is not a"),
                                   ("x + " + "7" * 4301, 4, "4300 digits")):
         with pytest.raises(ParseError) as info:
             P(text)
@@ -127,6 +128,24 @@ def test_diff_product_rule():
     assert lhs == a.diff(0) * b + a * b.diff(0)
 
 
+@pytest.mark.parametrize("p", [P("x*y^2"), MultiPoly.zero(XY)])
+def test_diff_needs_a_variable_index_in_range(p):
+    for index in (-1, -2, 2):
+        with pytest.raises(IndexError):
+            p.diff(index)
+    for index in (True, 1.0):
+        with pytest.raises(TypeError):
+            p.diff(index)
+
+
+def test_number_minus_polynomial_names_the_minus():
+    with pytest.raises(TypeError) as info:
+        1.5 - P("x")
+    assert str(info.value) == \
+        "unsupported operand type(s) for -: 'float' and 'MultiPoly'"
+    assert 2 - P("x") == P("2 - x")
+
+
 def test_pow_matches_repeated_product():
     p = P("x + 2*y")
     assert p ** 4 == p * p * p * p
@@ -140,11 +159,69 @@ def test_system_canonicalizes():
     s = PolySystem(XY, [P("x"), P("x"), P("0"), P("y - y")])
     assert len(s) == 1
     assert s == PolySystem(XY, [P("x")])
+    assert s.__eq__(P("x")) is NotImplemented
+
+
+def test_sums_over_other_variables_are_rejected():
+    with pytest.raises(ArityMismatch):
+        P("x + y") + P("x", XYZ)
+    with pytest.raises(ArityMismatch):
+        P("x", XYZ) - P("x")
+
+
+system_pool = st.sampled_from(
+    [P("x"), P("x"), P("0"), P("y - x^2"), P("1/2*x*y"), P("-x"), P("3"),
+     MultiPoly.zero(XY), MultiPoly.constant(XY, Fraction(6, 2))])
+
+
+@given(st.lists(system_pool, max_size=12))
+@settings(max_examples=200)
+def test_system_keeps_first_occurrences_in_order(generators):
+    kept = []
+    for g in generators:
+        if g and all(g != k for k in kept):
+            kept.append(g)
+    s = PolySystem(XY, generators)
+    assert len(s.generators) == len(kept)
+    assert all(a is b for a, b in zip(s.generators, kept))
+
+
+equal_prone = st.one_of(
+    small_polys,
+    small_polys.map(lambda p: parse_poly(render_poly(p), XY)),
+    small_polys.map(lambda p: p * 1 + 0),
+    st.integers(-2, 2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=2))
+
+
+@given(small_polys | system_pool, equal_prone)
+@settings(max_examples=300)
+def test_equal_polynomials_hash_equal(p, q):
+    if p == q:
+        assert hash(p) == hash(q)
+    for r in (p * 1, parse_poly(render_poly(p), XY)):
+        assert r == p and hash(r) == hash(p)
 
 
 def test_system_requires_variables():
     with pytest.raises(ValueError):
         PolySystem((), [])
+    with pytest.raises(TypeError):
+        PolySystem(XY, [P("x"), "y"])
+    with pytest.raises(ArityMismatch):
+        PolySystem(XY, [P("x"), P("x", XYZ)])
+
+
+def test_evaluate_takes_a_point_by_position():
+    p = P("1/2*x - y")
+    assert p.evaluate([3, Fraction(1, 2)]) == 1
+    with pytest.raises(ArityMismatch):
+        p.evaluate([3])
+
+
+def test_det_of_an_empty_matrix_is_rejected():
+    with pytest.raises(ValueError):
+        poly_det([])
 
 
 def test_det_2x2():
@@ -185,6 +262,8 @@ def test_jacobian_minors_sphere():
 def test_jacobian_minors_arity_checked():
     with pytest.raises(ArityMismatch):
         jacobian_minors([P("x"), P("y")], 2, 1)
+    with pytest.raises(ArityMismatch):  # two variables, dimension 3
+        jacobian_minors([P("x*y")], 3, 2)
 
 
 # ---------------------------------------------------------------------------

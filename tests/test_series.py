@@ -68,6 +68,29 @@ def test_trunc_series_keeps_fractions():
     assert all(type(c) is Fraction for c in s.coeffs)
 
 
+@pytest.mark.parametrize("components", [
+    (1,), (TruncSeries([1], 1), 1), ("t",)])
+def test_arcjet_rejects_components_that_are_not_series(components):
+    with pytest.raises(TypeError, match="components must be TruncSeries"):
+        ArcJet(components)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ArcJet(()), ValueError),
+    (lambda: jet_equations(PolySystem(XY, [P("x")]), -1), ValueError),
+    (lambda: arc_level(jet([[0], [0]], 2), PolySystem(XY, [])), ValueError),
+    (lambda: matrix_entry_orders([], jet([[0], [0]], 2)), ArityMismatch),
+    (lambda: jacobian_matrix_order([P("x")], jet([[0], [0]], 2), 3),
+     ArityMismatch),
+    (lambda: jacobian_matrix_order([P("x", ("x",))], jet([[0], [0]], 2), 2),
+     ArityMismatch),
+], ids=["empty-arc", "negative-level", "empty-system", "no-entries",
+        "arc-off-chart", "component-off-chart"])
+def test_series_layer_rejects_empty_or_misaligned_input(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_arcjet_shares_cap():
     with pytest.raises(ValueError):
         ArcJet((TruncSeries([1], 1), TruncSeries([1], 2)))
@@ -413,6 +436,8 @@ def test_min_series_order_mixing():
     with pytest.raises(IndeterminateAtCap):
         # the exact value 6 could be beaten by whatever hides past cap 5
         min_series_order([SeriesOrder(6), SeriesOrder.at_least(5)])
+    with pytest.raises(ValueError):
+        min_series_order([])
 
 
 def test_arc_level_cusp():
@@ -454,11 +479,17 @@ def test_ord_jac_along_identity():
     (["x", "y"], 0),
     (["x*y"], 2),             # more than the one row
     (["x", "y", "x + y"], 3),  # more than the two columns
+    ([], 1),                  # no map at all
 ])
 def test_ord_jac_along_needs_minors_of_size_d(components, d):
     sigma = [P(c) for c in components]
     with pytest.raises(ArityMismatch):
         ord_jac_along(sigma, jet([[0, 1], [0, 1]], 2), d)
+
+
+def test_ord_jac_along_needs_an_arc_in_the_source_space():
+    with pytest.raises(ArityMismatch):
+        ord_jac_along([P("x"), P("y")], jet([[0, 1]], 2), 1)
 
 
 def test_ord_jac_along_constant_map_has_no_finite_order():
@@ -510,3 +541,8 @@ def test_pair_entry_denominator_vanishing_to_cap():
     zeroish = P("x", ("x",))
     with pytest.raises(IndeterminateAtCap):
         matrix_entry_orders([(one, zeroish)], jet([[0]], 3))
+    # a numerator vanishing to the cap over an exact denominator: a bound
+    bound = matrix_entry_orders([(zeroish, one)], jet([[0]], 3))
+    assert bound == SeriesOrder.at_least(4)
+    assert repr(bound) == "SeriesOrder.at_least(4)"
+    assert repr(SeriesOrder(2)) == "SeriesOrder(2)"
