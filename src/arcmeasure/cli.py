@@ -20,8 +20,8 @@ from math import lcm
 from .analysis import (Conclusion, inverse_mapping_report,
                        measure_comparison_report)
 from .grothendieck import (_MAX_DIGITS, DEFAULT_FLOOR, NEG_INF, ParseError,
-                           PrecisionExhausted, _int, parse_motive, render,
-                           virtual_dim)
+                           PrecisionExhausted, _all_digits, _int,
+                           parse_motive, render, virtual_dim)
 from .measure import (DivergentExponent, ResolutionData, ResolutionDiagram,
                       SchemaError, _get, _int_list, _parsed,
                       compare_germ_measures, germ_measure, motivic_integral)
@@ -253,15 +253,8 @@ def _json_text(obj):
             texts[id(series)] = render(series)
         return texts[id(series)]
 
-    try:
-        return json.dumps(obj, indent=2, sort_keys=True, default=text)
-    except ValueError:  # an int over the interpreter's digit limit
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return json.dumps(obj, indent=2, sort_keys=True, default=text)
-        finally:
-            sys.set_int_max_str_digits(limit)
+    return _all_digits(json.dumps, obj, indent=2, sort_keys=True,
+                       default=text)
 
 
 def _load_problem(path):
@@ -314,6 +307,14 @@ def main(argv=None) -> int:
         print("error: a problem file is required", file=sys.stderr)
         return 2
 
+    code, out, err = _all_digits(_solve, args)
+    sys.stdout.write(out)
+    sys.stderr.write(err)
+    return code
+
+
+def _solve(args):
+    """``(exit code, stdout text, stderr text)`` of the problem run."""
     try:
         kind, payload, options = _load_problem(args.problem)
         effective = {
@@ -327,21 +328,17 @@ def main(argv=None) -> int:
             raise SchemaError(path, "must be nonnegative")
         code, text, obj = _HANDLERS[kind](payload, effective)
     except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2, "", f"error: {exc}\n"
     except DivergentExponent as exc:
-        print(f"error: divergent integral: {exc}", file=sys.stderr)
-        return 3
+        return 3, "", f"error: divergent integral: {exc}\n"
     except LiteralLimit as exc:
-        print(f"error: precision exhausted: {exc}", file=sys.stderr)
-        print(f"hint: {exc.path} is a literal known only above "
-              f"O(u^{exc.floor}); a deeper --floor cannot help, give "
-              f"that operand more terms", file=sys.stderr)
-        return 5
-
-    print(text if args.format == "text" else
-          _json_text({"schema": SCHEMA_VERSION, "kind": kind, **obj}))
-    return code
+        return 5, "", (f"error: precision exhausted: {exc}\n"
+                       f"hint: {exc.path} is a literal known only above "
+                       f"O(u^{exc.floor}); a deeper --floor cannot help, "
+                       "give that operand more terms\n")
+    if args.format == "json":
+        text = _json_text({"schema": SCHEMA_VERSION, "kind": kind, **obj})
+    return code, f"{text}\n", ""
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ zero and as the floor of exact series.
 from __future__ import annotations
 
 import re
-from decimal import Decimal
+import sys
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
@@ -153,7 +153,7 @@ def _mul_terms(a, b, combine, above=None):
 
 def _pow_terms(a, n, one, combine):
     """``a ** n`` by square-and-multiply; ``one`` is the unit's map."""
-    if not isinstance(n, int) or n < 0:
+    if _check_int(n, "exponent") < 0:
         raise ValueError("exponent must be a nonnegative int")
     result = one
     while n:
@@ -558,29 +558,37 @@ def limit_of_sequence(seq, bounds) -> MotiveSeries:
 # ---------------------------------------------------------------------------
 # canonical text form
 
-def _power_text(name: str, k: int) -> str:
-    # ``name`` to the power k as printed in a term; "" for k = 0
-    return f"{name}^{_number_text(k)}" if k < 0 or k > 1 else name * k
+def _all_digits(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, whatever the interpreter's int digit limit.
+
+    On a ``ValueError`` ``fn`` runs once more with
+    ``sys.set_int_max_str_digits(0)``, and the old limit is restored
+    afterwards, so an int of any length becomes text in full.
+    """
+    try:
+        return fn(*args, **kwargs)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
-def _signed_sum(coeffs, monos, den=1, number=str) -> str:
+def _signed_sum(coeffs, monos, den=1) -> str:
     """``c1*m1 - c2*m2 + ...``, the term rule of every canonical text.
 
     Coefficients are nonzero ints over one ``den``, in print order, one
-    per monomial text; each prints in lowest terms as ``number`` of its
-    ``p`` or ``p/q``, or past the interpreter's int digit limit as
-    ``_number_text``.  An empty monomial is the constant term, and
-    magnitude 1 is left off a nonconstant monomial.
+    per monomial text; each prints in lowest terms as ``p`` or ``p/q``.
+    An empty monomial is the constant term, and magnitude 1 is left off
+    a nonconstant monomial.
     """
-    try:
-        if den == 1:
-            xs = [number(abs(c)) for c in coeffs]
-        else:
-            xs = [number(abs(c) // g) if g == den
-                  else f"{number(abs(c) // g)}/{number(den // g)}"
-                  for c, g in zip(coeffs, map(gcd, coeffs, repeat(den)))]
-    except ValueError:  # over the interpreter's int digit limit
-        return _signed_sum(coeffs, monos, den, _number_text)
+    if den == 1:
+        xs = [str(abs(c)) for c in coeffs]
+    else:
+        xs = [str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
+              for c, g in zip(coeffs, map(gcd, coeffs, repeat(den)))]
     text = "".join([
         f"{' - ' if c < 0 else ' + '}{x}*{m}" if m and x != "1"
         else f"{' - ' if c < 0 else ' + '}{m or x}"
@@ -596,19 +604,17 @@ def render(a) -> str:
     """
     if not isinstance(a, MotiveSeries):
         raise TypeError(f"cannot render {type(a)!r}")
-    return _series_text("u", a.terms, sorted(a.terms, reverse=True), a.floor)
+    return _all_digits(_series_text, "u", a.terms,
+                       sorted(a.terms, reverse=True), a.floor)
 
 
 def _series_text(name, terms, exps, floor, den=1):
     """``terms[e]/den*name^e`` for e in ``exps``, O tail at a finite floor."""
-    try:  # the texts of _power_text, faster
-        monos = [f"{name}^{k}" if k < 0 or k > 1 else name * k for k in exps]
-    except ValueError:  # over the interpreter's int digit limit
-        monos = [_power_text(name, k) for k in exps]
+    monos = [f"{name}^{k}" if k < 0 or k > 1 else name * k for k in exps]
     body = _signed_sum([terms[e] for e in exps], monos, den)
     if floor == NEG_INF:
         return body or "0"
-    tail = f"O({name}^{_number_text(int(floor))})"
+    tail = f"O({name}^{floor})"
     return f"{body} + {tail}" if body else tail
 
 
@@ -636,33 +642,18 @@ _FACTOR = re.compile(r"(?:(\d+)(?:/(\d+))?|([^\W\d]\w*))(?:" + _POWER
 def _int(text, offset, what):
     """The value of ``text``, a ``-?digits`` literal found at ``offset``.
 
-    ``int()`` reads at most 640 digits at a time, the lowest limit
-    ``sys.set_int_max_str_digits`` accepts, so only ``_MAX_DIGITS``
-    decides which literals are too long.
+    Only ``_MAX_DIGITS`` decides which literals are too long, whatever
+    the interpreter's int digit limit.
     """
     try:
-        if len(text) <= 640:
+        if len(text) <= 640:  # under the lowest limit the interpreter takes
             return int(text)
     except ValueError:  # "" or "-"
         raise ParseError(f"expected {what}", offset) from None
-    digits = text.lstrip("-")
-    if len(digits) > _MAX_DIGITS:
+    if len(text.lstrip("-")) > _MAX_DIGITS:
         raise ParseError(
             f"integer literal longer than {_MAX_DIGITS} digits", offset)
-    value = 0
-    for i in range(0, len(digits), 640):
-        chunk = digits[i:i + 640]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return -value if text.startswith("-") else value
-
-
-def _number_text(n):
-    """``str(n)`` of an int, past any int digit limit.
-
-    ``Decimal`` ignores ``sys.set_int_max_str_digits``, so a result
-    prints the same text under every setting.
-    """
-    return str(Decimal(n))
+    return _all_digits(int, text)
 
 
 def _unexpected(s, pos):

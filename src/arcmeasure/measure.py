@@ -74,7 +74,7 @@ class SNCStratum(_Frozen):
     __slots__ = ("name", "index_set", "stratum_class", "ambient_dim")
 
     def __init__(self, name, index_set, stratum_class, ambient_dim):
-        index_set = tuple(index_set)
+        index_set = tuple(_check_int(i, "index") for i in index_set)
         if len(set(index_set)) != len(index_set):
             raise ValueError("repeated divisor component in index set")
         if _check_int(ambient_dim, "ambient dimension") < 1:

@@ -14,9 +14,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
 
-from .grothendieck import (ParseError, _add_terms, _check_int, _coefficient,
-                           _evaluate, _Frozen, _mul_terms, _pow_terms,
-                           _power_text, _scan_terms, _signed_sum)
+from .grothendieck import (ParseError, _add_terms, _all_digits, _check_int,
+                           _coefficient, _evaluate, _Frozen, _mul_terms,
+                           _pow_terms, _scan_terms, _signed_sum)
 
 
 class ArityMismatch(ValueError):
@@ -186,15 +186,16 @@ def _add_exponents(e1, e2):
 
 def render_poly(p: MultiPoly) -> str:
     """Deterministic text form with explicit ``*`` between factors."""
+    return _all_digits(_poly_text, p)
+
+
+def _poly_text(p):
     terms = sorted(zip(map(sum, p._num), p._num, p._num.values()),
                    reverse=True)  # graded lexicographic, largest first
-    try:  # a factor per variable of nonzero power, in variable order
-        monos = ["*".join([f"{v}^{k}" if k > 1 else v for v, k in
-                           zip(compress(p.variables, e), filter(None, e))])
-                 for _, e, _ in terms]
-    except ValueError:  # over the interpreter's int digit limit
-        monos = ["*".join(filter(None, map(_power_text, p.variables, e)))
-                 for _, e, _ in terms]
+    # a factor per variable of nonzero power, in variable order
+    monos = ["*".join([f"{v}^{k}" if k > 1 else v for v, k in
+                       zip(compress(p.variables, e), filter(None, e))])
+             for _, e, _ in terms]
     return _signed_sum([c for _, _, c in terms], monos, p.den) or "0"
 
 
@@ -255,6 +256,9 @@ class PolySystem(_Frozen):
             return (self.variables == other.variables
                     and set(self.generators) == set(other.generators))
         return NotImplemented
+
+    def __hash__(self):
+        return hash((self.variables, frozenset(self.generators)))
 
     def __repr__(self):
         inner = ", ".join(render_poly(g) for g in self.generators)

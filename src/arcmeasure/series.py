@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add
 
-from .grothendieck import (_add_terms, _check_int, _coefficient, _evaluate,
-                           _Frozen, _mul_terms, _series_text)
+from .grothendieck import (_add_terms, _all_digits, _check_int, _coefficient,
+                           _evaluate, _Frozen, _mul_terms, _series_text)
 from .polynomials import (ArityMismatch, MultiPoly, PolySystem,
                           _jacobian_ideal, _over_lcm, matrix_minors)
 
@@ -95,7 +95,7 @@ class TruncSeries(_Frozen):
 def render_trunc(s: TruncSeries) -> str:
     """Ascending powers of t, explicit cap: ``t^2 - t^3 + O(t^4)``."""
     exps = [e for e, c in enumerate(s.nums) if c]
-    return _series_text("t", s.nums, exps, s.cap + 1, s.den)
+    return _all_digits(_series_text, "t", s.nums, exps, s.cap + 1, s.den)
 
 
 class ArcJet(_Frozen):
@@ -267,7 +267,7 @@ def jet_equations(system: PolySystem, level: int) -> PolySystem:
         -3*a_0^2*a_1 + 2*b_0*b_1
         -3*a_0^2*a_2 - 3*a_0*a_1^2 + 2*b_0*b_2 + b_1^2
     """
-    if level < 0:
+    if _check_int(level, "level") < 0:
         raise ValueError("level must be nonnegative")
     jet_vars = jet_variable_names(len(system.variables), level)
     equations = []

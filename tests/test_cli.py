@@ -205,7 +205,9 @@ def digit_limit(request):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(request.param)
     yield request.param
+    limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(old)
+    assert limit == request.param, "the int digit limit leaked"
 
 
 def test_overlong_json_integer_exits_2(tmp_path, capsys, digit_limit):
@@ -307,6 +309,31 @@ def test_json_integers_of_any_size_print(tmp_path, capsys, digit_limit, fmt):
         certificates = reports[name]["certificates"]
         assert certificates["witness_below"] == witness
     assert f"\n            {A700_PLUS_1}\n" in out  # a JSON number
+
+
+# the messages of exits 3 and 5 quote ints of any size in full too
+N700, N700_LESS_1 = "9" * 700, "9" * 699 + "8"
+LONG_FLOOR_MEASURE = f"u^-1 + O(u^-{N700})"
+
+
+@pytest.mark.parametrize("digit_limit", [4300, 640], indirect=True)
+@pytest.mark.parametrize("kind, payload, code, message", [
+    ("compare", {"left": LONG_FLOOR_MEASURE, "right": LONG_FLOOR_MEASURE}, 5,
+     f"error: precision exhausted: difference vanishes above floor -{N700} "
+     "without being provably zero\n"
+     f"hint: payload.left is a literal known only above O(u^-{N700}); "
+     "a deeper --floor cannot help, give that operand more terms\n"),
+    ("integrate", {"resolution": LINE_RES, "alpha": [["ALPHA"]]}, 3,
+     "error: divergent integral: stratum 'origin': exponent 1+a+alpha = "
+     f"-{N700_LESS_1} <= 0\n"),
+], ids=["compare-literal-floor", "integrate-divergent-alpha"])
+def test_error_messages_of_any_size_print(tmp_path, capsys, digit_limit,
+                                          kind, payload, code, message):
+    doc = json.dumps(problem(kind, payload))
+    path = tmp_path / "problem.json"
+    path.write_text(doc.replace('"ALPHA"', f"-{N700}"), encoding="utf-8")
+    assert main([str(path)]) == code
+    assert capsys.readouterr() == ("", message)
 
 
 # ---------------------------------------------------------------------------

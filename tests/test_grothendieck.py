@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from arcmeasure import (NEG_INF, ONE, U, ZERO, ArcJet, ArityMismatch,
                         BoundViolated, LaurentPoly, MotiveSeries, MultiPoly,
-                        Order, PrecisionExhausted, RingParseError,
-                        TruncSeries, geometric_sum, leq_order,
+                        Order, PolySystem, PrecisionExhausted, RingParseError,
+                        TruncSeries, geometric_sum, jet_equations, leq_order,
                         limit_of_sequence, parse_motive, parse_poly, render,
                         render_poly, render_trunc, virtual_dim)
+from arcmeasure.grothendieck import _all_digits
 
 
 def mono(e, c=1):
@@ -454,6 +455,7 @@ def int_digit_limit(limit):
     sys.set_int_max_str_digits(limit)
     try:
         yield
+        assert sys.get_int_max_str_digits() == limit  # nothing leaked
     finally:
         sys.set_int_max_str_digits(old)
 
@@ -497,6 +499,22 @@ def test_text_forms_match_a_naive_renderer(limit, data):
         texts = [render(values[0]), render_poly(values[1]),
                  render_trunc(values[2])]
     assert texts == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int digit limit")
+def test_all_digits_reraises_other_errors_and_restores_the_limit():
+    limits = []
+
+    def fails():
+        limits.append(sys.get_int_max_str_digits())
+        raise ValueError("not a digit limit")
+
+    with int_digit_limit(640):
+        with pytest.raises(ValueError, match="not a digit limit"):
+            _all_digits(fails)
+        assert limits == [640, 0]
+        assert _all_digits(str, 10 ** 700) == "1" + "0" * 700
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +625,11 @@ def test_ring_laws(ring, data):
     (lambda: limit_of_sequence([], []), ValueError),
     (lambda: limit_of_sequence([ONE, ONE], []), ValueError),
     (lambda: render(1), TypeError),
+    (lambda: ONE ** True, TypeError),
+    (lambda: MultiPoly.variable(("x",), 0) ** True, TypeError),
+    (lambda: U ** 2.0, TypeError),
+    (lambda: jet_equations(PolySystem(("x",), [MultiPoly.variable(("x",), 0)]),
+                           True), TypeError),
 ], ids=["laurent-float-exponent", "laurent-bool-exponent",
         "laurent-float-coefficient", "laurent-plus-bool",
         "series-bool-coefficient", "series-float-floor", "series-bool-floor",
@@ -620,7 +643,8 @@ def test_ring_laws(ring, data):
         "poly-variable-bool-index", "negative-power",
         "zero-leading-coefficient", "dim-of-int", "order-of-float",
         "geometric-exact-floor", "limit-of-nothing", "limit-missing-bound",
-        "render-int"])
+        "render-int", "series-bool-power", "poly-bool-power", "float-power",
+        "jets-bool-level"])
 def test_constructors_reject_malformed_terms(build, error):
     with pytest.raises(error):
         build()

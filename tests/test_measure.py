@@ -144,10 +144,12 @@ def test_measure_layer_rejects_out_of_range_data(build, error):
     lambda: motivic_integral(catalog.line_data(), [[0.5]], -10),
     lambda: motivic_integral_by_enumeration(catalog.line_data(), [["1"]],
                                             -10),
+    lambda: SNCStratum("s", (0.5,), LaurentPoly.one(), 1),
+    lambda: SNCStratum("s", (True,), LaurentPoly.one(), 1),
 ], ids=["mult-float", "mult-str", "mult-bool", "dim-float", "dim-bool",
         "contact-float", "contact-bool", "ord-mult-float",
         "ord-contact-float", "ord-mult-bool", "germ-mult-float",
-        "alpha-float", "alpha-str"])
+        "alpha-float", "alpha-str", "index-float", "index-bool"])
 def test_measure_layer_rejects_non_ints(build):
     with pytest.raises(TypeError):
         build()

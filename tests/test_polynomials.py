@@ -162,6 +162,14 @@ def test_system_canonicalizes():
     assert s.__eq__(P("x")) is NotImplemented
 
 
+def test_systems_in_another_order_hash_equal():
+    s = PolySystem(XY, [P("x"), P("y - x^2"), P("1/2*x*y")])
+    t = PolySystem(XY, [P("1/2*x*y"), P("x"), P("y - x^2"), P("x")])
+    assert s.generators != t.generators
+    assert s == t and hash(s) == hash(t)
+    assert len({s, t, PolySystem(XY, [P("x")])}) == 2
+
+
 def test_sums_over_other_variables_are_rejected():
     with pytest.raises(ArityMismatch):
         P("x + y") + P("x", XYZ)
