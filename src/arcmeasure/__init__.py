@@ -6,8 +6,9 @@ jet equations for polynomial systems, evaluates germ measures through
 resolution data, and checks the hypotheses of the comparison theorems
 for maps presented by a double resolution diagram.
 
-Each public name below is imported from its submodule on first use, so
-``import arcmeasure.cli`` loads only the modules the command line needs.
+Each public name below is imported from its submodule on first use.  The
+command line imports ``grothendieck``, ``measure`` and ``analysis``; only
+its ``jets``, ``hx`` and ``compose`` kinds add ``polynomials`` and ``series``.
 """
 
 import importlib

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from .grothendieck import DEFAULT_FLOOR, Order, _Frozen, leq_order
 from .measure import ResolutionDiagram, image_measure, ord_jac_on_stratum
-from .series import matrix_entry_orders
 
 
 class Conclusion:
@@ -217,6 +216,7 @@ def inner_lipschitz_probe(entries, arcs) -> int | None:
     semi-decision, and arcs must avoid the loci where the entries are
     undefined.  Certified bounds come from :func:`check_boundedness`.
     """
+    from .series import matrix_entry_orders  # only this probe needs it
     arcs = list(arcs)
     if not arcs:
         raise ValueError("need at least one probe arc")

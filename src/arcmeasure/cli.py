@@ -25,10 +25,6 @@ from .grothendieck import (_MAX_DIGITS, DEFAULT_FLOOR, NEG_INF, ParseError,
 from .measure import (DivergentExponent, ResolutionData, ResolutionDiagram,
                       SchemaError, _get, _int_list, _parsed,
                       compare_germ_measures, germ_measure, motivic_integral)
-from .polynomials import (ConstantInput, PolySystem,
-                          hypersurface_singular_ideal, parse_poly, render_poly)
-from .series import (ArcJet, TruncSeries, compose, jet_equations,
-                     render_trunc)
 
 SCHEMA_VERSION = 1
 DEFAULT_CAP = 12
@@ -103,6 +99,8 @@ def _measure_spec(payload, key, floor):
 # kind handlers: return (exit_code, text_str, json_obj)
 
 def _run_jets(payload, options):
+    from .polynomials import PolySystem, parse_poly, render_poly
+    from .series import jet_equations
     variables = _variables(payload, "payload")
     gens_field = _get(payload, "payload", "generators", list, "a list")
     if not gens_field:
@@ -126,6 +124,8 @@ def _run_jets(payload, options):
 
 
 def _run_hx(payload, options):
+    from .polynomials import (ConstantInput, hypersurface_singular_ideal,
+                              parse_poly, render_poly)
     variables = _variables(payload, "payload")
     f_text = _get(payload, "payload", "f", str, "a polynomial string")
     f = _parsed("payload.f", parse_poly, f_text, variables)
@@ -141,6 +141,8 @@ def _run_hx(payload, options):
 
 
 def _run_compose(payload, options):
+    from .polynomials import parse_poly
+    from .series import ArcJet, TruncSeries, compose, render_trunc
     variables = _variables(payload, "payload")
     f_text = _get(payload, "payload", "f", str, "a polynomial string")
     f = _parsed("payload.f", parse_poly, f_text, variables)

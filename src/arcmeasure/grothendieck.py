@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
 from operator import add
@@ -95,13 +94,6 @@ def _check_int(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} {value!r} is not an int")
     return value
-
-
-def _coefficient(c):
-    # exact rationals only: a float, bool or string is an input error
-    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
-        return c
-    raise TypeError(f"coefficient {c!r} is not an int or Fraction")
 
 
 def _as_terms(exponent_map):
@@ -451,8 +443,8 @@ def virtual_dim(a):
         return max(n)
     if a.is_exact() or a.closed_form:
         return NEG_INF
-    raise PrecisionExhausted(
-        f"series vanishes above floor {a.floor}; dimension unknown")
+    raise PrecisionExhausted(_all_digits(
+        "series vanishes above floor {}; dimension unknown".format, a.floor))
 
 
 class Order:
@@ -487,9 +479,9 @@ def leq_order(a, b) -> str:
         return Order.LESS if diff[top] > 0 else Order.GREATER
     if floor == NEG_INF:
         return Order.EQUAL
-    raise PrecisionExhausted(
-        f"difference vanishes above floor {floor} "
-        "without being provably zero")
+    raise PrecisionExhausted(_all_digits(
+        "difference vanishes above floor {} without being provably "
+        "zero".format, floor))
 
 
 def geometric_sum(p: int, floor: int) -> MotiveSeries:
@@ -535,13 +527,13 @@ def limit_of_sequence(seq, bounds) -> MotiveSeries:
         diff = seq[k + 1] - seq[k]
         if diff.terms:
             if max(diff.terms) >= m:
-                raise BoundViolated(
-                    f"difference {k} has dimension {max(diff.terms)}, "
-                    f"declared < {m}")
+                raise BoundViolated(_all_digits(
+                    "difference {} has dimension {}, declared < {}".format,
+                    k, max(diff.terms), m))
         elif not diff.is_exact() and diff.floor >= m:
-            raise PrecisionExhausted(
-                f"difference {k} vanishes above floor {diff.floor}; "
-                f"cannot certify dimension < {m}")
+            raise PrecisionExhausted(_all_digits(
+                "difference {} vanishes above floor {}; cannot certify "
+                "dimension < {}".format, k, diff.floor, m))
         if diff.terms or not diff.is_exact():
             stationary = False
     last = seq[-1]
@@ -673,12 +665,12 @@ def _scan_terms(s, names):
     optional ``^k``, and only a name takes a negative ``k``.  Spaces and
     tabs may surround the ``+``, ``-`` and ``*`` operators.
 
-    Returns ``(terms, stop)``.  ``terms`` holds one ``(offset,
-    coefficient, exponents)`` per term: the offset of its first factor,
-    its signed coefficient (an int unless a ``p/q`` literal occurs in
-    it) and its exponent tuple aligned with ``names``.  ``stop`` is
-    ``len(s)``, or the offset of an ``O(`` standing where a term would
-    start, where the scan ends.
+    Returns ``(terms, stop)``.  ``terms`` holds one ``(offset, p, q,
+    exponents)`` per term: the offset of its first factor, its signed
+    coefficient ``p/q`` as ints, ``q`` None when no ``p/q`` literal
+    occurs in it, and its exponent tuple aligned with ``names``.
+    ``stop`` is ``len(s)``, or the offset of an ``O(`` standing where a
+    term would start, where the scan ends.
     """
     terms = []
     m = _SIGN.match(s)
@@ -686,7 +678,7 @@ def _scan_terms(s, names):
     while True:  # one term per round, ``op`` being its sign
         if s.startswith("O(", pos):
             return terms, pos
-        start = pos
+        start, den = pos, None
         coefficient = -1 if op == "-" else 1
         exponents = [0] * len(names)
         while True:  # one factor per round
@@ -705,7 +697,7 @@ def _scan_terms(s, names):
                     q = _int(denominator, m.start(2), "denominator")
                     if not q:
                         raise ParseError("zero denominator", m.start(2))
-                    value = Fraction(value, q)
+                    den = (den or 1) * q ** k
                 coefficient *= value ** k
             elif name in names:
                 exponents[names.index(name)] += k
@@ -714,7 +706,7 @@ def _scan_terms(s, names):
             pos = m.end()
             if op != "*":
                 break
-        terms.append((start, coefficient, tuple(exponents)))
+        terms.append((start, coefficient, den, tuple(exponents)))
         if not op:
             if pos < len(s):
                 raise _unexpected(s, pos)
@@ -749,11 +741,12 @@ def parse_motive(text: str):
         if j + 1 < len(s):
             raise ParseError("trailing input", j + 1)
     terms = {}
-    for offset, c, (e,) in found:
-        if type(c) is not int:
+    for offset, c, q, (e,) in found:
+        if q is not None:
             raise ParseError("ring coefficients are integers", offset)
         if e <= floor:
-            raise ParseError(f"term at or below the floor {floor}", offset)
+            raise ParseError(_all_digits(
+                "term at or below the floor {}".format, floor), offset)
         terms[e] = terms.get(e, 0) + c
     return MotiveSeries._new({e: c for e, c in terms.items() if c}, floor,
                              None)

@@ -24,9 +24,9 @@ definition.
 
 from __future__ import annotations
 
-from .grothendieck import (MotiveSeries, ParseError, _check_int,
-                           _expand_rational, _Frozen, leq_order, parse_motive,
-                           render)
+from .grothendieck import (MotiveSeries, ParseError, _all_digits,
+                           _check_int, _expand_rational, _Frozen, leq_order,
+                           parse_motive, render)
 
 
 class BadContact(ValueError):
@@ -304,8 +304,9 @@ def _contact_exponents(stratum, mults, alpha):
     ks = tuple(1 + a + x for a, x in zip(mults, alpha))
     for k in ks:
         if k <= 0:
-            raise DivergentExponent(
-                f"stratum {stratum.name!r}: exponent 1+a+alpha = {k} <= 0")
+            raise DivergentExponent(_all_digits(
+                "stratum {!r}: exponent 1+a+alpha = {} <= 0".format,
+                stratum.name, k))
     return ks
 
 

@@ -15,8 +15,8 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .grothendieck import (ParseError, _add_terms, _all_digits, _check_int,
-                           _coefficient, _evaluate, _Frozen, _mul_terms,
-                           _pow_terms, _scan_terms, _signed_sum)
+                           _evaluate, _Frozen, _mul_terms, _pow_terms,
+                           _scan_terms, _signed_sum)
 
 
 class ArityMismatch(ValueError):
@@ -25,6 +25,13 @@ class ArityMismatch(ValueError):
 
 class ConstantInput(ValueError):
     """A nonconstant polynomial was required."""
+
+
+def _coefficient(c):
+    # exact rationals only: a float, bool or string is an input error
+    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
+        return c
+    raise TypeError(f"coefficient {c!r} is not an int or Fraction")
 
 
 def _over_lcm(values):
@@ -213,9 +220,10 @@ def parse_poly(text: str, variables) -> MultiPoly:
     if stop < len(text):
         raise ParseError("an O term is not a polynomial", stop)
     terms = {}
-    for offset, c, exponents in found:
+    for offset, p, q, exponents in found:
         if min(exponents, default=0) < 0:
             raise ParseError("negative exponent in a polynomial", offset)
+        c = p if q is None else Fraction(p, q)
         terms[exponents] = terms.get(exponents, 0) + c
     terms = {e: c for e, c in terms.items() if c}
     nums, den = _over_lcm(list(terms.values()))

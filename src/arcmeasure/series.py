@@ -14,9 +14,9 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add
 
-from .grothendieck import (_add_terms, _all_digits, _check_int, _coefficient,
-                           _evaluate, _Frozen, _mul_terms, _series_text)
-from .polynomials import (ArityMismatch, MultiPoly, PolySystem,
+from .grothendieck import (_add_terms, _all_digits, _check_int, _evaluate,
+                           _Frozen, _mul_terms, _series_text)
+from .polynomials import (ArityMismatch, MultiPoly, PolySystem, _coefficient,
                           _jacobian_ideal, _over_lcm, matrix_minors)
 
 

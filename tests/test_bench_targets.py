@@ -6,13 +6,18 @@ as a module attribute.  Resolving them here makes a renamed or moved
 target fail the test suite instead of the traced benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
+WORKER = ROOT / "bench" / "worker.py"
 
 
 def _targets():
@@ -32,3 +37,20 @@ def test_traced_target_resolves(modname, target):
         assert attr in getattr(module, owner_name).__dict__
     else:
         assert callable(getattr(module, attr))
+
+
+def test_worker_set_up_loads_every_traced_module():
+    # patcher() wraps a function only in the arcmeasure modules already
+    # loaded when it runs, so a traced layer the worker's module-level
+    # imports leave unloaded would read zero instead of failing
+    tree = ast.parse(WORKER.read_text("utf-8"))
+    imports = "\n".join(
+        ast.unparse(node) for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "arcmeasure" in ast.unparse(node))
+    modules = sorted({modname for modname, _ in _targets()})
+    code = (f"import sys\n{imports}\n"
+            f"print([m for m in {modules!r} if m not in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "src",
+                         capture_output=True, text=True, check=True).stdout
+    assert "import arcmeasure.cli" in imports and out == "[]\n"

@@ -902,6 +902,26 @@ def test_output_is_byte_identical_across_runs(run):
     assert first[0] == 0
 
 
+@pytest.mark.parametrize("doc", [
+    problem("jets", {"variables": ["x", "y"], "generators": ["y^2 - x^3"],
+                     "level": 2}),
+    problem("hx", {"variables": ["x", "y"], "f": "1/2*y^2 - x^3"}),
+    problem("compose", {"variables": ["x", "y"], "f": "y^2 - x^3",
+                        "arc": [[0, 0, 1], [0, 0, 0, "1/3"]]}, cap=6),
+], ids=["jets", "hx", "compose"])
+def test_algebra_kinds_import_their_layers_in_a_fresh_process(run, tmp_path,
+                                                              doc):
+    # the command line imports the series and polynomial layers only in
+    # these kinds' handlers
+    want = run(doc)
+    path = tmp_path / "fresh.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "arcmeasure.cli",
+                             str(path)], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == want
+    assert want[0] == 0
+
+
 def test_console_entry_point_runs_in_subprocess(tmp_path):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem("measure",

@@ -326,7 +326,9 @@ def test_parse_reads_products_of_factors():
     assert parse_motive("2*u*u") == mono(2, 2)
     assert parse_motive("u*3 - 2^3") == mono(1, 3) - 8
     assert parse_motive("+u + O(u^-2)") == MotiveSeries({1: 1}, -2)
-    for text, offset in (("1/2*u", 0), ("2^-1", 2), ("u^", 2)):
+    # a p/q literal is no ring coefficient, even one worth an integer
+    for text, offset in (("1/2*u", 0), ("u + 2/1*u", 4), ("3/3^0", 0),
+                         ("2^-1", 2), ("u^", 2)):
         with pytest.raises(RingParseError) as info:
             parse_motive(text)
         assert info.value.offset == offset, text
@@ -515,6 +517,36 @@ def test_all_digits_reraises_other_errors_and_restores_the_limit():
             _all_digits(fails)
         assert limits == [640, 0]
         assert _all_digits(str, 10 ** 700) == "1" + "0" * 700
+
+
+# 4,301 digits: past the default limit 4300 as well as the lowest, 640
+LONG, LONG_TEXT = 10 ** 4300, "1" + "0" * 4300
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int digit limit")
+@pytest.mark.parametrize("limit", [640, 4300])
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: leq_order(*[MotiveSeries({-1: 1}, -LONG)] * 2),
+     PrecisionExhausted, f"difference vanishes above floor -{LONG_TEXT} "
+     "without being provably zero"),
+    (lambda: limit_of_sequence([MotiveSeries({}, LONG)] * 2, [-LONG]),
+     PrecisionExhausted, f"difference 0 vanishes above floor {LONG_TEXT}; "
+     f"cannot certify dimension < -{LONG_TEXT}"),
+    (lambda: limit_of_sequence([ZERO, MotiveSeries({LONG: 1})], [-LONG]),
+     BoundViolated, f"difference 0 has dimension {LONG_TEXT}, "
+     f"declared < -{LONG_TEXT}"),
+    (lambda: virtual_dim(MotiveSeries({}, -LONG)), PrecisionExhausted,
+     f"series vanishes above floor -{LONG_TEXT}; dimension unknown"),
+    (lambda: parse_motive(f"u + O(u^{'9' * 4300})"), RingParseError,
+     f"term at or below the floor {'9' * 4300} at offset 0"),
+], ids=["leq_order", "limit-precision", "limit-bound", "virtual_dim",
+        "parse_motive"])
+def test_errors_print_long_ints_in_full(limit, call, error, message):
+    with int_digit_limit(limit):
+        with pytest.raises(error) as info:
+            call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

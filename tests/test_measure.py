@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from arcmeasure import (NEG_INF, BadContact, DivergentExponent, IndexMismatch,
                         motivic_integral_by_enumeration, ord_jac_on_stratum,
                         parse_motive, render, virtual_dim)
 from arcmeasure import catalog
+from arcmeasure.measure import _contact_exponents
 
 
 def mono(e, c=1):
@@ -267,6 +269,29 @@ def test_integral_divergence_detected():
         motivic_integral(catalog.line_data(), [[-1]], -10)
     with pytest.raises(DivergentExponent):
         motivic_integral(catalog.cusp_data(), [[-2]], -10)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int digit limit")
+@pytest.mark.parametrize("limit", [640, 4300])
+@pytest.mark.parametrize("call", [
+    lambda data, alpha: _contact_exponents(data.strata[0],
+                                           data.jac_mults[0], alpha[0]),
+    lambda data, alpha: motivic_integral(data, alpha, -10),
+], ids=["contact_exponents", "motivic_integral"])
+def test_divergence_prints_a_long_exponent_in_full(limit, call):
+    # the line's a = 0, so 1 + a + alpha = -10^4300: 4,301 digits, past
+    # either limit
+    data = catalog.line_data()
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        with pytest.raises(DivergentExponent) as info:
+            call(data, [[-10 ** 4300 - 1]])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert str(info.value) == ("stratum 'origin': exponent 1+a+alpha = "
+                               f"-1{'0' * 4300} <= 0")
 
 
 def test_integral_alpha_arity_checked():

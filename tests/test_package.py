@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import json
 import pickle
 import subprocess
 import sys
@@ -42,14 +43,48 @@ def test_unknown_attribute_raises_attribute_error():
         arcmeasure.no_such_name
 
 
+SRC = Path(arcmeasure.__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# modules that neither `import arcmeasure.cli` nor a measure-side run needs
+UNUSED = ("arcmeasure.descriptors", "arcmeasure.catalog", "dataclasses",
+          "arcmeasure.series", "arcmeasure.polynomials", "fractions",
+          "decimal")
+
+
+def _fresh(code):
+    """Stdout of ``code`` run in a new interpreter."""
+    return subprocess.run([sys.executable, "-c", code], cwd=SRC,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_cli_import_loads_no_unused_module():
-    src = Path(arcmeasure.__file__).resolve().parents[1]
-    code = ("import sys, arcmeasure.cli; print(sorted(m for m in "
-            "('arcmeasure.descriptors', 'arcmeasure.catalog', 'dataclasses')"
-            " if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], cwd=src,
-                         capture_output=True, text=True, check=True).stdout
+    out = _fresh("import sys, arcmeasure.cli; print(sorted(m for m in "
+                 f"{UNUSED!r} if m in sys.modules))")
     assert out == "[]\n"
+
+
+def test_measure_side_runs_load_no_unused_module(capsys):
+    from arcmeasure.cli import main
+
+    argvs = [[str(GOLDEN / name), *flags]
+             for name in ("cusp_measure.json", "cusp_line_check_map.json")
+             for flags in ([], ["--format", "json"])]
+    out = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from arcmeasure.cli import main\n"
+        "outs = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        outs.append((main(argv), out.getvalue()))\n"
+        f"print(json.dumps([outs, [m for m in {UNUSED!r} "
+        "if m in sys.modules]]))")
+    outs, loaded = json.loads(out)
+    assert loaded == []
+    for argv, (code, text) in zip(argvs, outs):
+        assert (code, text) == (main(argv), capsys.readouterr().out)
+    assert outs[0][1] == (GOLDEN / "cusp_measure.out").read_text("utf-8")
+    assert outs[3][1] == (GOLDEN / "cusp_line_check_map.out").read_text(
+        "utf-8")
 
 
 def _stratum():
