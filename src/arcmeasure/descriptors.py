@@ -10,7 +10,8 @@ verifies set containment, which is the caller's geometry.
 
 from __future__ import annotations
 
-from .grothendieck import MotiveSeries, _check_int, _Frozen, virtual_dim
+from .grothendieck import (MotiveSeries, _all_digits, _check_int, _Frozen,
+                           virtual_dim)
 
 
 class SingularAmbient(ValueError):
@@ -127,8 +128,8 @@ def measure_measurable(m: MeasurableDescriptor, floor: int) -> MotiveSeries:
     Coefficients above the floor agree for every such approximant.
     """
     if not m.approximants or m.approximants[-1][1] > floor:
-        raise InsufficientApproximants(
-            f"no approximant with error bound <= {floor}")
+        raise InsufficientApproximants(_all_digits(
+            "no approximant with error bound <= {}".format, floor))
     return measure_stable(m.approximants[-1][0]).with_floor(floor)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 import sys
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from math import gcd
 from operator import add
 
@@ -198,10 +198,10 @@ class MotiveSeries(_Frozen):
     are treated as immutable.
 
     ``closed_form`` is ``(N, ks)`` on the exact ``N / prod(1 - u^-k for
-    k in ks)``, else ``None``.  A series built from a closed form leaves
-    ``_terms`` at ``None``; the ``terms`` property expands the closed form
-    into it on the first read.  Operators and :meth:`with_floor` drop
-    it; ``==``, ``hash`` and :func:`render` ignore it.
+    k in ks)``, else ``None``.  Built from a closed form, a series leaves
+    ``_terms`` at ``None`` until ``terms`` is first read; :func:`render`
+    prints from the closed form.  Operators and :meth:`with_floor` drop
+    it; ``==`` and ``hash`` ignore it.
 
     Example::
 
@@ -242,7 +242,9 @@ class MotiveSeries(_Frozen):
     @property
     def terms(self):
         if self._terms is None:
-            self._set(_terms=_expand(*self.closed_form, self.floor))
+            exps, coeffs = _expand(*self.closed_form, self.floor)
+            self._set(_terms=dict(zip(compress(exps, coeffs),
+                                      filter(None, coeffs))))
         return self._terms
 
     @property
@@ -256,7 +258,8 @@ class MotiveSeries(_Frozen):
     def degree(self):
         """Maximal exponent of an exact element, NEG_INF for zero."""
         if not self.is_exact():
-            raise ValueError(f"degree unknown below floor {self.floor}")
+            raise ValueError(_all_digits(
+                "degree unknown below floor {}".format, self.floor))
         return self.top
 
     def leading_coefficient(self) -> int:
@@ -319,8 +322,8 @@ class MotiveSeries(_Frozen):
         """Forget information: raise the floor to ``new_floor``."""
         _check_floor(new_floor)
         if new_floor < self.floor:
-            raise ValueError(
-                f"cannot lower floor from {self.floor} to {new_floor}")
+            raise ValueError(_all_digits("cannot lower floor from {} to {}"
+                                         .format, self.floor, new_floor))
         return MotiveSeries._new(_above(self.terms, new_floor), new_floor,
                                  None)
 
@@ -406,11 +409,12 @@ def _expand_rational(parts, floor):
 
 
 def _expand(n, ks, floor):
-    """The terms of ``n / prod(1 - u^-k for k in ks)`` above ``floor``.
+    """``n / prod(1 - u^-k for k in ks)`` above ``floor``, densely.
 
-    ``c[j] += c[j-k]`` (j counting down from the top) divides the dense
-    coefficients by ``1 - u^-k``.  Division only carries coefficients
-    downward, so those above the floor are exact as computed.
+    Returns ``(exps, coeffs)``, ``coeffs[j]`` (zero or not) being the
+    coefficient of ``u^exps[j]``.  ``c[j] += c[j-k]`` (j counting down
+    from the top) divides by ``1 - u^-k``.  Division only carries
+    coefficients downward, so those above the floor are exact.
     """
     top = max(n, default=floor)
     coeffs = [0] * max(top - floor, 0)
@@ -420,7 +424,7 @@ def _expand(n, ks, floor):
     for k in ks:
         for start in range(min(k, len(coeffs))):
             coeffs[start::k] = accumulate(coeffs[start::k])
-    return {top - j: c for j, c in enumerate(coeffs) if c}
+    return range(top, floor, -1), coeffs
 
 
 U = MotiveSeries.monomial(1)
@@ -568,23 +572,25 @@ def _all_digits(fn, *args, **kwargs):
             sys.set_int_max_str_digits(limit)
 
 
-def _signed_sum(coeffs, monos, den=1) -> str:
-    """``c1*m1 - c2*m2 + ...``, the term rule of every canonical text.
+def _signed_sum(coeffs, names, exps, den=1) -> str:
+    """``c1*v1^e1 - c2*v2^e2 + ...``, the term rule of every canonical text.
 
-    Coefficients are nonzero ints over one ``den``, in print order, one
-    per monomial text; each prints in lowest terms as ``p`` or ``p/q``.
-    An empty monomial is the constant term, and magnitude 1 is left off
-    a nonconstant monomial.
+    Coefficients are nonzero ints over one ``den``, in print order, and
+    print in lowest terms as ``p`` or ``p/q``; ``names`` and ``exps`` may
+    be iterators.  ``v^1`` prints as ``v`` and ``v^0`` as nothing.  A
+    magnitude 1 is left off a nonconstant term by dropping each `` 1*``;
+    only a magnitude follows a space, so nothing else reads `` 1*``.
     """
     if den == 1:
-        xs = [str(abs(c)) for c in coeffs]
+        xs = map(abs, coeffs)
     else:
         xs = [str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
               for c, g in zip(coeffs, map(gcd, coeffs, repeat(den)))]
     text = "".join([
-        f"{' - ' if c < 0 else ' + '}{x}*{m}" if m and x != "1"
-        else f"{' - ' if c < 0 else ' + '}{m or x}"
-        for c, x, m in zip(coeffs, xs, monos)])
+        (f" - {x}*{v}^{e}" if c < 0 else f" + {x}*{v}^{e}") if e < 0 or e > 1
+        else (f" - {x}*{v}" if c < 0 else f" + {x}*{v}") if e
+        else f" - {x}" if c < 0 else f" + {x}"
+        for c, x, v, e in zip(coeffs, xs, names, exps)]).replace(" 1*", " ")
     return f"-{text[3:]}" if text[1:2] == "-" else text[3:]
 
 
@@ -592,18 +598,23 @@ def render(a) -> str:
     """Canonical text: terms by strictly decreasing exponent.
 
     ``u^-2 - u^-3 + O(u^-10)`` is a series with floor -10; an exact
-    element has no O term and zero renders as ``0``.
+    element has no O term and zero renders as ``0``.  A closed form
+    prints from its dense expansion, any other value from ``terms``.
     """
     if not isinstance(a, MotiveSeries):
         raise TypeError(f"cannot render {type(a)!r}")
-    return _all_digits(_series_text, "u", a.terms,
-                       sorted(a.terms, reverse=True), a.floor)
+    if a.closed_form:
+        exps, coeffs = _expand(*a.closed_form, a.floor)
+    else:
+        exps = sorted(a.terms, reverse=True)
+        coeffs = list(map(a.terms.get, exps))
+    return _all_digits(_series_text, "u", coeffs, exps, a.floor)
 
 
-def _series_text(name, terms, exps, floor, den=1):
-    """``terms[e]/den*name^e`` for e in ``exps``, O tail at a finite floor."""
-    monos = [f"{name}^{k}" if k < 0 or k > 1 else name * k for k in exps]
-    body = _signed_sum([terms[e] for e in exps], monos, den)
+def _series_text(name, coeffs, exps, floor, den=1):
+    """Each nonzero ``c/den*name^e`` of ``coeffs`` and ``exps``, O tail."""
+    body = _signed_sum(list(filter(None, coeffs)), repeat(name),
+                       compress(exps, coeffs), den)
     if floor == NEG_INF:
         return body or "0"
     tail = f"O({name}^{floor})"

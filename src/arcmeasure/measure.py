@@ -322,6 +322,7 @@ def motivic_integral(data: ResolutionData, alpha_mults, floor: int
     exponent ``1 + a_i + alpha_i`` stays positive; otherwise the contact
     series diverges and :class:`DivergentExponent` is raised.
     """
+    _check_int(floor, "floor")
     parts = []
     for stratum, mults, alpha in zip(data.strata, data.jac_mults,
                                      _alpha_rows(data, alpha_mults)):

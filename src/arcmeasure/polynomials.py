@@ -203,7 +203,9 @@ def _poly_text(p):
     monos = ["*".join([f"{v}^{k}" if k > 1 else v for v, k in
                        zip(compress(p.variables, e), filter(None, e))])
              for _, e, _ in terms]
-    return _signed_sum([c for _, _, c in terms], monos, p.den) or "0"
+    # each monomial is one factor to the power 1, the constant's to 0
+    return _signed_sum([c for _, _, c in terms], monos, map(bool, monos),
+                       p.den) or "0"
 
 
 def parse_poly(text: str, variables) -> MultiPoly:

@@ -94,8 +94,8 @@ class TruncSeries(_Frozen):
 
 def render_trunc(s: TruncSeries) -> str:
     """Ascending powers of t, explicit cap: ``t^2 - t^3 + O(t^4)``."""
-    exps = [e for e, c in enumerate(s.nums) if c]
-    return _all_digits(_series_text, "t", s.nums, exps, s.cap + 1, s.den)
+    return _all_digits(_series_text, "t", s.nums, range(len(s.nums)),
+                       s.cap + 1, s.den)
 
 
 class ArcJet(_Frozen):

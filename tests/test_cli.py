@@ -655,6 +655,34 @@ def test_text_check_map_expands_and_renders_nothing(
     assert out.splitlines()[0] == f"conclusion: {conclusion}"
 
 
+@pytest.mark.parametrize("doc, flags", [
+    (problem("measure", {"resolution": BLOWUP2_RES}, floor=-12), ()),
+    (problem("integrate", {"resolution": CUSP_RES, "alpha": [[1]]},
+             floor=-12), ()),
+    (problem("check-map", {"diagram": CUSP_TO_LINE_DIAG,
+                           "mu_x": {"resolution": CUSP_RES},
+                           "mu_y": {"resolution": LINE_RES}}, floor=-12),
+     ("--format", "json")),
+], ids=["measure", "integrate", "check-map-json"])
+def test_printed_measures_never_build_their_terms(run, monkeypatch, doc,
+                                                  flags):
+    # render prints a computed measure from its closed form, so the term
+    # dict that library readers get from ``terms`` stays unbuilt
+    import arcmeasure.measure as measure
+    computed = []
+
+    def kept(parts, floor):
+        computed.append(expand_rational(parts, floor))
+        return computed[-1]
+
+    expand_rational = measure._expand_rational
+    monkeypatch.setattr(measure, "_expand_rational", kept)
+    code, out, err = run(doc, *flags)
+    assert (code, err) == (0, "") and "u^-" in out
+    assert computed and all(s.closed_form for s in computed)
+    assert all(s._terms is None for s in computed)
+
+
 @pytest.mark.parametrize("digit_limit", [4300, 640], indirect=True)
 def test_json_check_map_renders_each_measure_once(tmp_path, capsys,
                                                   monkeypatch, digit_limit):

@@ -15,7 +15,9 @@ from arcmeasure import (NEG_INF, ONE, U, ZERO, ArcJet, ArityMismatch,
                         TruncSeries, geometric_sum, jet_equations, leq_order,
                         limit_of_sequence, parse_motive, parse_poly, render,
                         render_poly, render_trunc, virtual_dim)
-from arcmeasure.grothendieck import _all_digits
+from arcmeasure.descriptors import (InsufficientApproximants,
+                                    MeasurableDescriptor, measure_measurable)
+from arcmeasure.grothendieck import _all_digits, _expand_rational
 
 
 def mono(e, c=1):
@@ -503,6 +505,35 @@ def test_text_forms_match_a_naive_renderer(limit, data):
     assert texts == expected
 
 
+def closed_forms(huge):
+    """Sums of closed forms ``(N, ks)`` with a floor: tops from -4 to 3,
+    floors up to 5 (above every top), and 700-digit numerator
+    coefficients when ``huge``."""
+    ints = st.one_of(st.sampled_from([1, -1]), st.integers(-99, 99),
+                     *[HUGE, HUGE.map(int.__neg__)] * huge).filter(bool)
+    parts = st.lists(st.tuples(
+        st.dictionaries(st.integers(-4, 3), ints, max_size=4),
+        st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)),
+        min_size=1, max_size=3)
+    return st.builds(_expand_rational, parts, st.integers(-12, 5))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int digit limit")
+@pytest.mark.parametrize("limit", [4300, 640])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_closed_forms_render_as_their_terms(limit, data):
+    value = data.draw(closed_forms(huge=limit == 640))
+    with int_digit_limit(limit):
+        text = render(value)
+    assert value._terms is None  # printing built no term dict
+    with int_digit_limit(0):
+        expected = naive_render(value)  # reads terms
+    with int_digit_limit(limit):
+        assert [text, render(value)] == [expected] * 2
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="interpreter has no int digit limit")
 def test_all_digits_reraises_other_errors_and_restores_the_limit():
@@ -540,8 +571,15 @@ LONG, LONG_TEXT = 10 ** 4300, "1" + "0" * 4300
      f"series vanishes above floor -{LONG_TEXT}; dimension unknown"),
     (lambda: parse_motive(f"u + O(u^{'9' * 4300})"), RingParseError,
      f"term at or below the floor {'9' * 4300} at offset 0"),
+    (lambda: MotiveSeries({}, LONG).with_floor(-LONG), ValueError,
+     f"cannot lower floor from {LONG_TEXT} to -{LONG_TEXT}"),
+    (lambda: MotiveSeries({}, -LONG).degree, ValueError,
+     f"degree unknown below floor -{LONG_TEXT}"),
+    (lambda: measure_measurable(MeasurableDescriptor(()), -LONG),
+     InsufficientApproximants,
+     f"no approximant with error bound <= -{LONG_TEXT}"),
 ], ids=["leq_order", "limit-precision", "limit-bound", "virtual_dim",
-        "parse_motive"])
+        "parse_motive", "with_floor", "degree", "measure_measurable"])
 def test_errors_print_long_ints_in_full(limit, call, error, message):
     with int_digit_limit(limit):
         with pytest.raises(error) as info:

@@ -148,10 +148,14 @@ def test_measure_layer_rejects_out_of_range_data(build, error):
                                             -10),
     lambda: SNCStratum("s", (0.5,), LaurentPoly.one(), 1),
     lambda: SNCStratum("s", (True,), LaurentPoly.one(), 1),
+    lambda: germ_measure(catalog.cusp_data(), 2.5),
+    lambda: germ_measure(catalog.cusp_data(), True),
+    lambda: germ_measure(catalog.cusp_data(), NEG_INF),
 ], ids=["mult-float", "mult-str", "mult-bool", "dim-float", "dim-bool",
         "contact-float", "contact-bool", "ord-mult-float",
         "ord-contact-float", "ord-mult-bool", "germ-mult-float",
-        "alpha-float", "alpha-str", "index-float", "index-bool"])
+        "alpha-float", "alpha-str", "index-float", "index-bool",
+        "floor-float", "floor-bool", "floor-neg-inf"])
 def test_measure_layer_rejects_non_ints(build):
     with pytest.raises(TypeError):
         build()
