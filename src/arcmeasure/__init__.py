@@ -6,9 +6,10 @@ jet equations for polynomial systems, evaluates germ measures through
 resolution data, and checks the hypotheses of the comparison theorems
 for maps presented by a double resolution diagram.
 
-Each public name below is imported from its submodule on first use.  The
-command line imports ``grothendieck``, ``measure`` and ``analysis``; only
-its ``jets``, ``hx`` and ``compose`` kinds add ``polynomials`` and ``series``.
+Each public name below is imported from its submodule on first use, and
+every submodule serves the command line.  It imports ``grothendieck``,
+``measure`` and ``analysis``; only its ``jets``, ``hx`` and ``compose``
+kinds add ``polynomials`` and ``series``.
 """
 
 import importlib
@@ -19,10 +20,6 @@ _EXPORTS = {name: module for module, names in (
     ("analysis", "BoundednessVerdict Conclusion TheoremReport "
      "check_boundedness inner_lipschitz_probe inverse_mapping_report "
      "measure_comparison_report ord_jac_f"),
-    ("descriptors", "CylinderDescriptor InsufficientApproximants "
-     "MeasurableDescriptor SingularAmbient StableSetDescriptor "
-     "disjoint_union_measure measure_cylinder measure_measurable "
-     "measure_stable re_level stable_dim"),
     ("grothendieck", "DEFAULT_FLOOR NEG_INF ONE U ZERO BoundViolated "
      "LaurentPoly MotiveSeries Order PrecisionExhausted RingParseError "
      "geometric_sum leq_order limit_of_sequence parse_motive render "

@@ -19,8 +19,8 @@ from math import lcm
 
 from .analysis import (Conclusion, inverse_mapping_report,
                        measure_comparison_report)
-from .grothendieck import (_MAX_DIGITS, DEFAULT_FLOOR, NEG_INF, ParseError,
-                           PrecisionExhausted, _all_digits, _int,
+from .grothendieck import (_MAX_DIGITS, _NAME, DEFAULT_FLOOR, NEG_INF,
+                           ParseError, PrecisionExhausted, _all_digits, _int,
                            parse_motive, render, virtual_dim)
 from .measure import (DivergentExponent, ResolutionData, ResolutionDiagram,
                       SchemaError, _get, _int_list, _parsed,
@@ -71,7 +71,7 @@ def _variables(payload, path):
     if not names:
         raise SchemaError(f"{path}.variables", "must be nonempty")
     for i, v in enumerate(names):
-        if not isinstance(v, str) or not v:
+        if not isinstance(v, str) or not _NAME.fullmatch(v):
             raise SchemaError(f"{path}.variables[{i}]", "expected a name")
     if len(set(names)) != len(names):
         raise SchemaError(f"{path}.variables", "names must be distinct")
@@ -83,16 +83,23 @@ def _resolution(obj, path, key="resolution", cls=ResolutionData):
                          f"{path}.{key}")
 
 
-def _measure_spec(payload, key, floor):
-    """The germ measure ``payload[key]``: a canonical string or a
-    resolution object."""
+def _measure_spec(payload, key):
+    """The germ measure operand ``payload[key]``: the series a canonical
+    string gives, or the resolution data to measure."""
     spec = _get(payload, "payload", key, object, "a spec")
     path = f"payload.{key}"
     if isinstance(spec, str):
         return _parsed(path, parse_motive, spec)
     if isinstance(spec, dict) and "resolution" in spec:
-        return germ_measure(_resolution(spec, path), floor)
+        return _resolution(spec, path)
     raise SchemaError(path, "expected a measure string or a resolution")
+
+
+def _measures(payload, keys, floor):
+    """The germ measures ``payload[key]``, computed once all are read."""
+    specs = [_measure_spec(payload, key) for key in keys]
+    return [germ_measure(spec, floor) if isinstance(spec, ResolutionData)
+            else spec for spec in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +203,7 @@ def _run_integrate(payload, options):
 
 
 def _run_compare(payload, options):
-    left = _measure_spec(payload, "left", options["floor"])
-    right = _measure_spec(payload, "right", options["floor"])
+    left, right = _measures(payload, ("left", "right"), options["floor"])
     try:
         order = compare_germ_measures(left, right)
     except PrecisionExhausted as exc:
@@ -208,8 +214,7 @@ def _run_compare(payload, options):
 
 def _run_check_map(payload, options):
     diagram = _resolution(payload, "payload", "diagram", ResolutionDiagram)
-    mu_x = _measure_spec(payload, "mu_x", options["floor"])
-    mu_y = _measure_spec(payload, "mu_y", options["floor"])
+    mu_x, mu_y = _measures(payload, ("mu_x", "mu_y"), options["floor"])
     try:
         inverse = inverse_mapping_report(diagram, mu_x, mu_y,
                                          floor=options["floor"])

@@ -637,9 +637,10 @@ _MAX_DIGITS = 4300  # longest integer literal the scanner reads
 _POWER = r"\^(-?\d*)"  # a power's exponent text
 _SIGN = re.compile(r"[ \t]*([+-]?)[ \t]*")
 _O_TERM = re.compile(r"O\(u" + _POWER)
+_NAME = re.compile(r"[^\W\d]\w*")  # a variable name, here and in cli
 # a factor with its power and the operator after it
-_FACTOR = re.compile(r"(?:(\d+)(?:/(\d+))?|([^\W\d]\w*))(?:" + _POWER
-                     + r")?[ \t]*([*+-]?)[ \t]*")
+_FACTOR = re.compile(r"(?:(\d+)(?:/(\d+))?|(" + _NAME.pattern + r"))(?:"
+                     + _POWER + r")?[ \t]*([*+-]?)[ \t]*")
 
 
 def _int(text, offset, what):

@@ -1,4 +1,4 @@
-"""Worked examples wired up once, used by tests and the demo scripts.
+"""Worked examples wired up once for the tests.
 
 Everything here is desk-checkable: the germ of a line, the cuspidal
 cubic with its normalization, point blow-ups of affine space, and the
@@ -7,8 +7,8 @@ maps between them given as resolution diagrams.
 
 from __future__ import annotations
 
-from .grothendieck import MotiveSeries
-from .measure import ResolutionData, ResolutionDiagram, SNCStratum
+from arcmeasure.grothendieck import MotiveSeries
+from arcmeasure.measure import ResolutionData, ResolutionDiagram, SNCStratum
 
 
 def line_data() -> ResolutionData:

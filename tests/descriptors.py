@@ -5,13 +5,15 @@ together with the class of that image; deeper levels fiber over it with
 affine fibers, so the measure is the class rescaled by ``u^-(n+1)d``.
 Measurable sets carry a list of stable approximants with declared error
 dimensions.  The calculus here only manipulates declared data; it never
-verifies set containment, which is the caller's geometry.
+verifies set containment, which is the caller's geometry.  No command
+line kind reaches this bookkeeping; the tests keep it to check the
+measure calculus against stable-set presentations.
 """
 
 from __future__ import annotations
 
-from .grothendieck import (MotiveSeries, _all_digits, _check_int, _Frozen,
-                           virtual_dim)
+from arcmeasure.grothendieck import (MotiveSeries, _all_digits, _check_int,
+                                    _Frozen, virtual_dim)
 
 
 class SingularAmbient(ValueError):

@@ -18,14 +18,16 @@ from fractions import Fraction
 from arcmeasure import (ArcJet, LaurentPoly, MotiveSeries, MultiPoly,
                         NEG_INF, PolySystem, PrecisionExhausted,
                         ResolutionData, ResolutionDiagram, SNCStratum,
-                        StableSetDescriptor, catalog, check_boundedness,
-                        compare_germ_measures, compose, geometric_sum,
-                        germ_measure, image_measure, inverse_mapping_report,
-                        jet_equations, jet_variable_names, leq_order,
-                        measure_stable, motivic_integral,
+                        check_boundedness, compare_germ_measures, compose,
+                        geometric_sum, germ_measure, image_measure,
+                        inverse_mapping_report, jet_equations,
+                        jet_variable_names, leq_order, motivic_integral,
                         motivic_integral_by_enumeration, ord_jac_f,
-                        re_level, satisfies_jet_equations, virtual_dim)
+                        satisfies_jet_equations, virtual_dim)
 from arcmeasure.analysis import Conclusion
+
+import catalog
+from descriptors import StableSetDescriptor, measure_stable, re_level
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 

@@ -15,7 +15,8 @@ from arcmeasure import (ArcJet, Conclusion, LaurentPoly, MotiveSeries,
                         germ_measure, inner_lipschitz_probe,
                         inverse_mapping_report, measure_comparison_report,
                         ord_jac_f, parse_poly, render)
-from arcmeasure import catalog
+
+import catalog
 
 
 def diagram(entries, d=2):
@@ -300,14 +301,18 @@ def test_probe_positive_orders_are_evidence_only():
 # ---------------------------------------------------------------------------
 # the worked example
 
-def test_worked_example_prints_the_measures_as_certificates():
-    root = Path(__file__).resolve().parents[1]
+def test_worked_example_prints_the_measures_as_certificates(tmp_path):
+    # run away from the checkout root: the script finds its problem file
+    # next to itself, not in the working directory
+    tests = Path(__file__).resolve().parent
+    root = tests.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, str(root / "scripts" / "cusp_vs_line.py")],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=env, cwd=tmp_path)
     assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == (tests / "cusp_vs_line.out").read_text("utf-8")
     report = json.loads(result.stdout.split(
         "report for the map from the cusp germ to the line germ:\n")[1])
     certificates = report["certificates"]

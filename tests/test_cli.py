@@ -1,10 +1,16 @@
 """End-to-end tests for the problem-file command line front end."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcmeasure import ResolutionData, germ_measure, render
 from arcmeasure.cli import main
@@ -551,6 +557,24 @@ def test_compare_literal_offsets_count_from_the_raw_text(run):
         "error: payload.left: unexpected end of input at offset 5")
 
 
+@pytest.mark.parametrize("doc, message", [
+    (problem("compare", {"left": {"resolution": CUSP_RES}, "right": 7}),
+     "payload.right: expected a measure string or a resolution"),
+    (problem("check-map", {"diagram": CUSP_TO_LINE_DIAG,
+                           "mu_x": {"resolution": CUSP_RES},
+                           "mu_y": {"resolution": {**LINE_RES,
+                                                   "ambient_dim": 0}}}),
+     "payload.mu_y.resolution.ambient_dim: must be positive"),
+], ids=["compare", "check-map"])
+def test_no_measure_is_computed_before_every_operand_is_read(run, monkeypatch,
+                                                             doc, message):
+    calls = []
+    monkeypatch.setattr("arcmeasure.cli.germ_measure",
+                        lambda *args: calls.append(args))
+    assert run(doc) == (2, "", f"error: {message}\n")
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # check-map
 
@@ -885,6 +909,11 @@ def _resolution(**fields):
      "payload.resolution.ambient_dim: must be positive"),
     (_resolution(strata=[]), "payload.resolution.strata: must be nonempty"),
     (_resolution(strata=[3]), "payload.resolution.strata[0]: expected an object"),
+    # names the polynomial scanner cannot read back as one variable
+    (problem("hx", {"variables": ["2", "x"], "f": "2*x^2"}),
+     "payload.variables[0]: expected a name"),
+    (_jets(variables=["x y"]), "payload.variables[0]: expected a name"),
+    (_jets(variables=["x*y"]), "payload.variables[0]: expected a name"),
 ])
 def test_malformed_problem_names_the_field(run, doc, message):
     code, out, err = run(doc)
@@ -913,6 +942,97 @@ def test_floored_class_exits_2(run):
     code, out, err = run(problem("measure", {"resolution": floored}))
     assert code == 2 and out == ""
     assert "payload.resolution: stratum 'origin': class must be exact" in err
+
+
+# ---------------------------------------------------------------------------
+# loader fuzz: mutated valid problems end in a documented exit code
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FUZZ_SEEDS = [
+    *(json.loads((GOLDEN / case["problem"]).read_text("utf-8"))
+      for case in json.loads((GOLDEN / "manifest.json").read_text("utf-8"))
+      ["cases"]),
+    _jets(),
+    _compose([[0, 1, "1/3"]], cap=3),
+    problem("integrate", {"resolution": CUSP_RES, "alpha": [[1]]}),
+    problem("compare", {"left": {"resolution": CUSP_RES},
+                        "right": "u^-1 + O(u^-7)"}),
+    problem("check-map", {"diagram": IDENT_DIAG, "mu_x": "u^-1",
+                          "mu_y": "u^-1"}),
+]
+# replacements of another JSON type: ints stay small, strings short
+OTHER_VALUES = [None, False, True, *range(-8, 9), "", "x", "u^-1", [], {}]
+
+
+def _nodes(doc, path=()):
+    """``(path, value)`` for every value in a JSON document."""
+    yield path, doc
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _nodes(value, (*path, key))
+
+
+def _mutate(rng, doc):
+    """``doc`` with one value dropped, retyped, truncated or repeated."""
+    path, value = rng.choice(list(_nodes(doc)))
+    ways = ["retype"]
+    if isinstance(value, dict) and value:
+        ways.append("drop")
+    if isinstance(value, str) and value:
+        ways.append("truncate")
+    if isinstance(value, list) and value:
+        ways.append("repeat")
+    way = rng.choice(ways)
+    if way == "drop":
+        del value[rng.choice(sorted(value))]
+        return doc
+    if way == "repeat":
+        i = rng.randrange(len(value))
+        value.insert(i, copy.deepcopy(value[i]))
+        return doc
+    new = (value[:rng.randrange(len(value))] if way == "truncate" else
+           copy.copy(rng.choice([v for v in OTHER_VALUES
+                                 if type(v) is not type(value)])))
+    if not path:
+        return new
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return doc
+
+
+@st.composite
+def mutated_problems(draw):
+    # a seeded random.Random makes the choices: Hypothesis's own draws
+    # would favour the first node of every document
+    rng = draw(st.randoms(use_true_random=True))
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_SEEDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        doc = _mutate(rng, doc)
+    return doc
+
+
+@given(mutated_problems())
+@settings(max_examples=200, deadline=None)
+def test_mutated_problems_exit_with_a_documented_code(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for flags in ([], ["--format", "json"]):
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([str(path), *flags])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3, 4, 5), (doc, flags)
+        if code in (0, 4):
+            assert out and err == "", (doc, flags)
+        else:
+            assert out == "" and err.startswith("error: "), (doc, flags)
+        if code == 2:
+            assert err.count("\n") == 1 and err.endswith("\n"), (doc, err)
+            assert err.startswith(("error: payload", "error: problem",
+                                   "error: --cap")), (doc, err)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from arcmeasure import (CylinderDescriptor, InsufficientApproximants,
-                        LaurentPoly, MeasurableDescriptor, MotiveSeries,
-                        NEG_INF, SingularAmbient, StableSetDescriptor,
-                        disjoint_union_measure, germ_measure,
-                        measure_cylinder, measure_measurable, measure_stable,
-                        parse_motive, re_level, stable_dim, virtual_dim)
-from arcmeasure import catalog
+from arcmeasure import (LaurentPoly, MotiveSeries, germ_measure, parse_motive,
+                        virtual_dim)
+
+import catalog
+from descriptors import (CylinderDescriptor, InsufficientApproximants,
+                         MeasurableDescriptor, SingularAmbient,
+                         StableSetDescriptor, disjoint_union_measure,
+                         measure_cylinder, measure_measurable, measure_stable,
+                         re_level, stable_dim)
 
 
 def mono(e, c=1):

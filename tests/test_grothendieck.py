@@ -15,9 +15,10 @@ from arcmeasure import (NEG_INF, ONE, U, ZERO, ArcJet, ArityMismatch,
                         TruncSeries, geometric_sum, jet_equations, leq_order,
                         limit_of_sequence, parse_motive, parse_poly, render,
                         render_poly, render_trunc, virtual_dim)
-from arcmeasure.descriptors import (InsufficientApproximants,
-                                    MeasurableDescriptor, measure_measurable)
 from arcmeasure.grothendieck import _all_digits, _expand_rational
+
+from descriptors import (InsufficientApproximants, MeasurableDescriptor,
+                         measure_measurable)
 
 
 def mono(e, c=1):

@@ -17,8 +17,9 @@ from arcmeasure import (NEG_INF, BadContact, DivergentExponent, IndexMismatch,
                         image_measure, leq_order, motivic_integral,
                         motivic_integral_by_enumeration, ord_jac_on_stratum,
                         parse_motive, render, virtual_dim)
-from arcmeasure import catalog
 from arcmeasure.measure import _contact_exponents
+
+import catalog
 
 
 def mono(e, c=1):

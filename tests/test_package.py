@@ -1,7 +1,7 @@
 """The package surface: lazy exports and the one immutable-value base."""
 
 import copy
-import importlib
+import importlib.util
 import json
 import pickle
 import subprocess
@@ -13,13 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arcmeasure
-from arcmeasure import (NEG_INF, ArcJet, BoundednessVerdict,
-                        CylinderDescriptor, MeasurableDescriptor, MotiveSeries,
+from arcmeasure import (NEG_INF, ArcJet, BoundednessVerdict, MotiveSeries,
                         MultiPoly, PolySystem, ResolutionData,
-                        ResolutionDiagram, SeriesOrder, StableSetDescriptor,
-                        TheoremReport, TruncSeries, parse_poly)
+                        ResolutionDiagram, SeriesOrder, TheoremReport,
+                        TruncSeries, parse_poly)
 from arcmeasure.grothendieck import _expand_rational
 from arcmeasure.measure import SNCStratum
+
+from descriptors import (CylinderDescriptor, MeasurableDescriptor,
+                         StableSetDescriptor)
 
 
 @pytest.mark.parametrize("name", arcmeasure.__all__)
@@ -43,12 +45,18 @@ def test_unknown_attribute_raises_attribute_error():
         arcmeasure.no_such_name
 
 
+def test_package_ships_only_exporting_submodules():
+    for gone in ("descriptors", "catalog"):  # test helpers, not package
+        assert importlib.util.find_spec(f"arcmeasure.{gone}") is None
+    for module in set(arcmeasure._EXPORTS.values()):
+        assert importlib.util.find_spec(f"arcmeasure.{module}") is not None
+
+
 SRC = Path(arcmeasure.__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # modules that neither `import arcmeasure.cli` nor a measure-side run needs
-UNUSED = ("arcmeasure.descriptors", "arcmeasure.catalog", "dataclasses",
-          "arcmeasure.series", "arcmeasure.polynomials", "fractions",
-          "decimal")
+UNUSED = ("dataclasses", "arcmeasure.series", "arcmeasure.polynomials",
+          "fractions", "decimal")
 
 
 def _fresh(code):
