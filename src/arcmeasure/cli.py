@@ -66,6 +66,28 @@ def _rational(value, path):
     return p, q
 
 
+# a row of ``[-]p[/q]`` strings of at most 640 digits, which int() reads
+# under every int digit limit; re compiles it on first use, not at import
+_LITERAL = "-?[0-9]{1,640}(?:/[0-9]{1,640})?"
+_ROW = f"{_LITERAL}(?:,{_LITERAL})*"
+
+
+def _rationals(row, path):
+    """``_rational`` of each entry of ``row``, at ``path[j]``: one match
+    reads a row of short literal strings; any other row, ints included,
+    goes entry by entry, which names the first bad entry."""
+    try:
+        text = ",".join(row)
+    except TypeError:  # an entry that is no string
+        text = ""
+    if text.count(",") == len(row) - 1 and re.fullmatch(_ROW, text):
+        pairs = [(int(p), int(q or 1))
+                 for p, _, q in [v.partition("/") for v in row]]
+        if all(q for _, q in pairs):
+            return pairs
+    return [_rational(v, f"{path}[{j}]") for j, v in enumerate(row)]
+
+
 def _variables(payload, path):
     names = _get(payload, path, "variables", list, "a list of names")
     if not names:
@@ -165,8 +187,7 @@ def _run_compose(payload, options):
         if len(row) > cap + 1:
             raise SchemaError(f"payload.arc[{i}]",
                               f"more than cap+1 = {cap + 1} coefficients")
-        pairs = [_rational(v, f"payload.arc[{i}][{j}]")
-                 for j, v in enumerate(row)]
+        pairs = _rationals(row, f"payload.arc[{i}]")
         den = lcm(*[q for _, q in pairs])  # each row over one lcm
         nums = [p * (den // q) for p, q in pairs] + [0] * (cap + 1 - len(row))
         components.append(TruncSeries._reduced(nums, den))

@@ -162,10 +162,9 @@ def _evaluate(terms, comps, mul, plus, zero):
 
     ``terms`` maps each exponent vector to its coefficient, already a
     ring element; ``mul``, ``plus`` and ``zero`` are the ring's product,
-    sum and zero: Fractions for ``MultiPoly.evaluate``, packed ints
-    modulo ``2^(w(cap+1))`` for ``series.compose``, packed term maps for
-    ``series.jet_equations``.  Powers of components are cached since
-    sparse polynomials reuse them heavily.
+    sum and zero: Fractions for ``MultiPoly.evaluate`` and packed ints
+    modulo ``2^(w(cap+1))`` for ``series.compose``.  Powers of
+    components are cached since sparse polynomials reuse them heavily.
     """
     powers = [{1: c} for c in comps]
 

@@ -11,11 +11,11 @@ reported as a lower bound, never silently truncated.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add
 
-from .grothendieck import (_add_terms, _all_digits, _check_int, _evaluate,
-                           _Frozen, _mul_terms, _series_text)
+from .grothendieck import (_all_digits, _check_int, _evaluate, _Frozen,
+                           _series_text)
 from .polynomials import (ArityMismatch, MultiPoly, PolySystem, _coefficient,
                           _jacobian_ideal, _over_lcm, matrix_minors)
 
@@ -280,33 +280,40 @@ def _jet_expansion(g: MultiPoly, level: int, jet_vars):
     """Nonzero coefficients of ``t^0 .. t^level`` in ``g(sum_i a_{j,i} t^i)``.
 
     The expansion runs over the ints of ``g`` over its denominator, and
-    each slice is brought to lowest terms by one gcd.  A monomial
-    ``t^e * prod a^k`` is one int key: ``size`` bytes per jet variable,
-    with ``256^size > deg g``, and ``e`` above the last field.  Every
-    cached power and every term has total jet degree at most ``deg g``,
-    so no field overflows, multiplying monomials adds their keys and one
-    ``to_bytes`` reads a key's exponents.  Keys are stored negated, so
-    the kernel's ``above`` cut drops every product past ``t^level``.
+    each slice is brought to lowest terms by one gcd.  By the multinomial
+    theorem, ``(a_0 + a_1 t + ... + a_level t^level)^k`` below
+    ``t^(level+1)`` is a sum over the partitions of each ``s <= level``
+    into ``p <= k`` parts, ``m_i`` of them equal to ``i``: the term
+    ``comb(k, p) * p!/prod m_i! * a_0^(k-p) * prod a_i^m_i * t^s``.  A
+    term ``c*x^e`` of ``g`` expands to one such block per variable,
+    concatenated while the power of t stays at most ``level``.  Distinct
+    variables own disjoint jet variables and the block of ``x_j`` has
+    total degree ``e_j``, so every combination is a distinct monomial:
+    nothing is summed or cancelled.
     """
-    n, nv = level + 1, len(jet_vars)
-    size = max(1, (max(map(sum, g._num)).bit_length() + 7) // 8)
-    w = 8 * size
-    shift = w * nv
-    terms = {e: {0: c} for e, c in g._num.items()}
-    comps = [{-(i << shift | 1 << w * (j * n + i)): 1 for i in range(n)}
-             for j in range(len(g.variables))]
-    above = -(n << shift)
-    acc = _evaluate(terms, comps, lambda a, b: _mul_terms(a, b, add, above),
-                    _add_terms, {})
-    by_t = [{} for _ in range(n)]
-    mask = (1 << shift) - 1
-    for key, c in acc.items():
-        key = -key
-        buf = (key & mask).to_bytes(size * nv, "little")
-        exps = tuple(buf) if size == 1 else tuple(
-            int.from_bytes(buf[i:i + size], "little")
-            for i in range(0, size * nv, size))
-        by_t[key >> shift][exps] = c
+    # partitions (s, (m_1 .. m_level), p, p!/prod m_i!, largest part),
+    # one round per p <= level whatever the degree.  Adding parts in
+    # nondecreasing order lists each once and keeps a round in descending
+    # order of m, so each term of g fills its slices in the order that
+    # render_poly sorts them into
+    rows = last = [(0, (0,) * level, 0, 1, 1)]
+    for _ in range(min(level, max(map(max, g._num)))):
+        last = [(s + j, m[:j - 1] + (m[j - 1] + 1,) + m[j:], p + 1,
+                 r * (p + 1) // (m[j - 1] + 1), j)
+                for s, m, p, r, top in last for j in range(top, level + 1 - s)]
+        rows = rows + last
+    powers = {}  # exponent -> its terms, for this call only
+    by_t = [{} for _ in range(level + 1)]
+    for e, c in g._num.items():
+        partial = [(0, (), c)]
+        for k in e:
+            if k not in powers:
+                powers[k] = [(s, (k - p,) + m, comb(k, p) * r)
+                             for s, m, p, r, _ in rows if p <= k]
+            partial = [(s + r, m + mk, a * b) for s, m, a in partial
+                       for r, mk, b in powers[k] if s + r <= level]
+        for s, m, a in partial:
+            by_t[s][m] = a
     return [MultiPoly._reduced(jet_vars, t, g.den) for t in by_t if t]
 
 

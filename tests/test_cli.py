@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcmeasure import ResolutionData, germ_measure, render
-from arcmeasure.cli import main
+from arcmeasure.cli import _rational, _rationals, main
+from arcmeasure.measure import SchemaError
 
 # ---------------------------------------------------------------------------
 # shared problem fixtures (JSON bodies, written to tmp files per test)
@@ -96,6 +97,29 @@ def test_jets_of_any_degree(run):
                                           "generators": [f"x^{2 ** 64} - y"],
                                           "level": 0}))
     assert (code, out, err) == (0, "a_0^18446744073709551616 - b_0\n", "")
+
+
+HUGE_DEGREE_JETS = [
+    "18446744073709551616*a_0^18446744073709551615*a_1 - b_1",
+    "18446744073709551616*a_0^18446744073709551615*a_2 + "
+    "170141183460469231722463931679029329920*a_0^18446744073709551614*a_1^2"
+    " - b_2",
+    "a_0^18446744073709551616 - b_0"]
+
+
+@pytest.mark.parametrize("digit_limit", [4300, 640], indirect=True)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_jets_of_huge_degree_at_a_positive_level(run, digit_limit, fmt):
+    # the expansion of x^(2^64) takes as many steps as the level allows,
+    # whatever the degree
+    code, out, err = run(problem("jets", {"variables": ["x", "y"],
+                                          "generators": [f"x^{2 ** 64} - y"],
+                                          "level": 2}), "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "text":
+        assert out == "\n".join(HUGE_DEGREE_JETS) + "\n"
+    else:
+        assert json.loads(out)["equations"] == HUGE_DEGREE_JETS
 
 
 def test_jets_malformed_polynomial_exits_2_with_offset(run):
@@ -243,6 +267,50 @@ def test_compose_rejects_overlong_arc_literal(run, digit_limit, literal):
     assert code == 2
     assert out == ""
     assert err.startswith("error: payload.arc[0][1]: bad rational literal")
+
+
+# arc entries read one by one: some pass the row pattern, the rest fail
+# it and are read, or rejected, by _rational alone
+ODD_ARC_ENTRIES = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6), st.booleans(), st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["+1", " 1", "1_0", "\u0661", "1,2", "", "1/", "-",
+                     "1/-2"]),
+    st.sampled_from(["1/0", "-0/00", "-0/3", "007/010"]),
+    st.sampled_from(["", "-", "1/"]).flatmap(lambda head: st.sampled_from(
+        [head + "9" * n for n in (640, 641, 4300, 4301)])))
+
+
+@st.composite
+def arc_rows(draw):
+    row = draw(st.lists(st.fractions(max_denominator=50).map(str),
+                        max_size=6))
+    for entry in draw(st.lists(ODD_ARC_ENTRIES, max_size=2)):
+        row.insert(draw(st.integers(0, len(row))), entry)
+    return row
+
+
+@given(arc_rows())
+@settings(max_examples=300, deadline=None)
+def test_arc_rows_read_as_entry_by_entry(tmp_path_factory, row):
+    pairs, error = [], None
+    for j, v in enumerate(row):
+        try:
+            pairs.append(_rational(v, f"payload.arc[0][{j}]"))
+        except SchemaError as exc:
+            error = f"error: {exc}\n"
+            break
+    if error is None:
+        assert _rationals(row, "payload.arc[0]") == pairs
+        return
+    path = tmp_path_factory.getbasetemp() / "arc_row.json"
+    path.write_text(json.dumps(problem(
+        "compose", {"variables": ["x"], "f": "x", "arc": [row]},
+        cap=max(len(row) - 1, 0))), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main([str(path)])
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", error)
 
 
 # results longer than any int digit limit print in full: 640 is the lowest

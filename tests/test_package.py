@@ -1,5 +1,6 @@
 """The package surface: lazy exports and the one immutable-value base."""
 
+import ast
 import copy
 import importlib.util
 import json
@@ -57,6 +58,19 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # modules that neither `import arcmeasure.cli` nor a measure-side run needs
 UNUSED = ("dataclasses", "arcmeasure.series", "arcmeasure.polynomials",
           "fractions", "decimal")
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in (SRC / "arcmeasure").glob("*.py")))
+def test_modules_use_every_import(module):
+    tree = ast.parse((SRC / "arcmeasure" / module).read_text("utf-8"))
+    imported = {(alias.asname or alias.name).partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
 
 
 def _fresh(code):

@@ -325,8 +325,8 @@ def exponent(draw, n, degree):
 
 @st.composite
 def jet_systems(draw, max_level=10):
-    """1-3 variables, rational generators of degree 0 (constants) or at
-    the edges of the packed field widths, and a level."""
+    """1-3 variables, rational generators of degree 0 (constants), 1, 3,
+    4, 7 or 8, and a level."""
     n = draw(st.integers(1, 3))
     variables = ("x", "y", "z")[:n]
     generators = []
@@ -348,8 +348,8 @@ def test_jet_equations_match_reference(case):
 
 @pytest.mark.parametrize("degree", [1, 3, 4, 7, 8, 255, 256])
 def test_jet_equations_at_field_width_edges(degree):
-    # every monomial up to the degree, so the top field fills up; at the
-    # byte edge 255/256 a sparse support keeps the reference fast
+    # every monomial up to the degree; at degrees 255 and 256, far past
+    # the level, a sparse support keeps the reference fast
     if degree <= 8:
         support = [(i, j) for i in range(degree + 1)
                    for j in range(degree + 1 - i)]
@@ -408,6 +408,28 @@ def test_satisfies_matches_composition_random(case, data):
         st.lists(small, min_size=level + 1, max_size=level + 1)))
         for _ in system.variables]
     assert_membership_matches_composition(system, rows, level)
+
+
+@given(jet_systems(max_level=6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_jet_equations_evaluate_to_the_composition(case, data):
+    # the t^s equation of g, at a jet, is the t^s coefficient of g along it
+    system, level = case
+    n = level + 1
+    rows = [data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
+            for _ in system.variables]
+    values = dict(zip(jet_variable_names(len(rows), level),
+                      (c for row in rows for c in row)))
+    arc = jet(rows, level)
+    for g in system:
+        got = [0] * n
+        for eq in jet_equations(PolySystem(system.variables, [g]), level):
+            # a_{j,i} carries weight i, and each equation has one weight
+            weights = {sum(i % n * k for i, k in enumerate(e))
+                       for e in eq.terms}
+            assert len(weights) == 1
+            got[weights.pop()] = eq.evaluate(values)
+        assert got == list(compose(g, arc).coeffs)
 
 
 # ---------------------------------------------------------------------------
