@@ -21,9 +21,8 @@ _EXPORTS = {name: module for module, names in (
      "check_boundedness inner_lipschitz_probe inverse_mapping_report "
      "measure_comparison_report ord_jac_f"),
     ("grothendieck", "DEFAULT_FLOOR NEG_INF ONE U ZERO BoundViolated "
-     "LaurentPoly MotiveSeries Order PrecisionExhausted RingParseError "
-     "geometric_sum leq_order limit_of_sequence parse_motive render "
-     "virtual_dim"),
+     "LaurentPoly MotiveSeries Order PrecisionExhausted geometric_sum "
+     "leq_order limit_of_sequence parse_motive render virtual_dim"),
     ("measure", "BadContact DivergentExponent IndexMismatch "
      "MultiplicityVector ResolutionData ResolutionDiagram SNCStratum "
      "compare_germ_measures contact_stratum_measure germ_measure "

@@ -19,9 +19,10 @@ from math import lcm
 
 from .analysis import (Conclusion, inverse_mapping_report,
                        measure_comparison_report)
-from .grothendieck import (_MAX_DIGITS, _NAME, DEFAULT_FLOOR, NEG_INF,
-                           ParseError, PrecisionExhausted, _all_digits, _int,
-                           parse_motive, render, virtual_dim)
+from .grothendieck import (_MAX_DIGITS, _NAME, _SAFE_DIGITS, DEFAULT_FLOOR,
+                           NEG_INF, ParseError, PrecisionExhausted,
+                           _all_digits, _int, parse_motive, render,
+                           virtual_dim)
 from .measure import (DivergentExponent, ResolutionData, ResolutionDiagram,
                       SchemaError, _get, _int_list, _parsed,
                       compare_germ_measures, germ_measure, motivic_integral)
@@ -66,9 +67,9 @@ def _rational(value, path):
     return p, q
 
 
-# a row of ``[-]p[/q]`` strings of at most 640 digits, which int() reads
-# under every int digit limit; re compiles it on first use, not at import
-_LITERAL = "-?[0-9]{1,640}(?:/[0-9]{1,640})?"
+# a row of ``[-]p[/q]`` strings that int() reads under every int digit
+# limit; re compiles it on first use, not at import
+_LITERAL = f"-?[0-9]{{1,{_SAFE_DIGITS}}}(?:/[0-9]{{1,{_SAFE_DIGITS}}})?"
 _ROW = f"{_LITERAL}(?:,{_LITERAL})*"
 
 

@@ -24,9 +24,9 @@ definition.
 
 from __future__ import annotations
 
-from .grothendieck import (MotiveSeries, ParseError, _all_digits,
+from .grothendieck import (ZERO, MotiveSeries, ParseError, _all_digits,
                            _check_int, _expand_rational, _Frozen, leq_order,
-                           parse_motive, render)
+                           parse_motive, virtual_dim)
 
 
 class BadContact(ValueError):
@@ -129,13 +129,10 @@ class ResolutionData(_Frozen):
         (jac_mults,) = _legs(strata, jac_mults)
         self._set(strata=strata, jac_mults=jac_mults)
 
-    def to_json(self) -> dict:
-        return _resolution_to_json(self.strata, p_mults=self.jac_mults)
-
     @classmethod
     def from_json(cls, data: dict, path="resolution") -> "ResolutionData":
-        """Inverse of :meth:`to_json`; bad data raises :class:`SchemaError`
-        with the offending field's path below ``path``."""
+        """Read from JSON; bad data raises :class:`SchemaError` with the
+        offending field's path below ``path``."""
         return _resolution_from_json(cls, data, path, ("p_mults",))
 
 
@@ -166,14 +163,10 @@ class ResolutionDiagram(_Frozen):
                 return s, p, q
         raise KeyError(f"no stratum named {name!r}")
 
-    def to_json(self) -> dict:
-        return _resolution_to_json(self.strata, p_mults=self.p_mults,
-                                   q_mults=self.q_mults)
-
     @classmethod
     def from_json(cls, data: dict, path="diagram") -> "ResolutionDiagram":
-        """Inverse of :meth:`to_json`; bad data raises :class:`SchemaError`
-        with the offending field's path below ``path``."""
+        """Read from JSON; bad data raises :class:`SchemaError` with the
+        offending field's path below ``path``."""
         return _resolution_from_json(cls, data, path, ("p_mults", "q_mults"))
 
 
@@ -231,19 +224,6 @@ def _parsed(path, parse, *args):
         return parse(*args)
     except ParseError as exc:
         raise SchemaError(path, str(exc))
-
-
-def _resolution_to_json(strata, **legs):
-    """The JSON form :func:`_resolution_from_json` reads back; ``legs``
-    maps each multiplicity field to its vectors."""
-    return {
-        "ambient_dim": strata[0].ambient_dim,
-        "strata": [
-            {"name": s.name, "index_set": list(s.index_set),
-             "class": render(s.stratum_class),
-             **{leg: list(vectors[i]) for leg, vectors in legs.items()}}
-            for i, s in enumerate(strata)],
-    }
 
 
 def _resolution_from_json(cls, data, path, legs):
@@ -343,7 +323,7 @@ def motivic_integral_by_enumeration(data: ResolutionData, alpha_mults,
     is raised to the highest exponent a dropped tuple can reach, so
     every returned coefficient is still exact.
     """
-    total = MotiveSeries.zero()
+    total = ZERO
     result_floor = floor
     for stratum, mults, alpha in zip(data.strata, data.jac_mults,
                                      _alpha_rows(data, alpha_mults)):
@@ -356,7 +336,7 @@ def motivic_integral_by_enumeration(data: ResolutionData, alpha_mults,
             continue
         # a tuple contributes in degrees <= top - sum(k_i e_i), so those
         # with sum(k_i e_i) >= budget sit at or below floor
-        top = stratum.stratum_class.degree + r - stratum.ambient_dim
+        top = virtual_dim(stratum.stratum_class) + r - stratum.ambient_dim
         budget = top - floor
         if max_total_contact is not None:
             # the highest dropped tuple puts every contact beyond the

@@ -73,20 +73,6 @@ class MultiPoly(_Frozen):
     def zero(cls, variables) -> "MultiPoly":
         return cls(variables, {})
 
-    @classmethod
-    def constant(cls, variables, value) -> "MultiPoly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): value})
-
-    @classmethod
-    def variable(cls, variables, index: int) -> "MultiPoly":
-        variables = tuple(variables)
-        if not 0 <= _check_int(index, "index") < len(variables):
-            raise IndexError(f"no variable at index {index}")
-        exps = [0] * len(variables)
-        exps[index] = 1
-        return cls._new(variables, {tuple(exps): 1}, 1)
-
     @property
     def terms(self):
         """Exponent vector to ``Fraction`` coefficient, built on each read."""
@@ -102,7 +88,7 @@ class MultiPoly(_Frozen):
         if isinstance(other, bool):  # no ring element, as for MotiveSeries
             return NotImplemented
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.variables, other)
+            other = self._coerce(other)
         return _Frozen.__eq__(self, other)
 
     def __hash__(self):
@@ -112,7 +98,8 @@ class MultiPoly(_Frozen):
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(self.variables, other)
+            return MultiPoly(self.variables,
+                             {(0,) * len(self.variables): other})
         if isinstance(other, MultiPoly):
             if other.variables != self.variables:
                 raise ArityMismatch("polynomials over different variables")

@@ -50,13 +50,6 @@ class TruncSeries(_Frozen):
             nums, den = [c // g for c in nums], den // g
         return cls._new(tuple(nums), den)
 
-    @classmethod
-    def monomial(cls, exponent: int, cap: int, coefficient=1) -> "TruncSeries":
-        if _check_int(exponent, "exponent") < 0:
-            raise ValueError("negative exponent in a series")
-        coeffs = [0] * min(exponent, cap + 1) + [_coefficient(coefficient)]
-        return cls(coeffs[:cap + 1], cap)
-
     @property
     def coeffs(self):
         """The ``Fraction`` coefficients, built on each read."""
@@ -68,25 +61,6 @@ class TruncSeries(_Frozen):
 
     def __bool__(self):
         return any(self.nums)
-
-    def __add__(self, other):  # x + y along the arc (self, other)
-        return compose(MultiPoly(("x", "y"), {(1, 0): 1, (0, 1): 1}),
-                       ArcJet((self, other)))
-
-    def __sub__(self, other):
-        return compose(MultiPoly(("x", "y"), {(1, 0): 1, (0, 1): -1}),
-                       ArcJet((self, other)))
-
-    def __neg__(self):
-        return TruncSeries._new(tuple([-a for a in self.nums]), self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):  # a bool is a TypeError
-            return compose(MultiPoly(("x",), {(1,): other}), ArcJet((self,)))
-        return compose(MultiPoly(("x", "y"), {(1, 1): 1}),
-                       ArcJet((self, other)))
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"TruncSeries({render_trunc(self)!r})"

@@ -7,7 +7,7 @@ maps between them given as resolution diagrams.
 
 from __future__ import annotations
 
-from arcmeasure.grothendieck import MotiveSeries
+from arcmeasure.grothendieck import ONE, MotiveSeries
 from arcmeasure.measure import ResolutionData, ResolutionDiagram, SNCStratum
 
 
@@ -17,7 +17,7 @@ def line_data() -> ResolutionData:
     One divisor point at the origin, no Jacobian vanishing; summing the
     contact strata telescopes to the measure ``u^-1``.
     """
-    origin = SNCStratum("origin", (0,), MotiveSeries.one(), 1)
+    origin = SNCStratum("origin", (0,), ONE, 1)
     return ResolutionData((origin,), ((0,),))
 
 
@@ -27,7 +27,7 @@ def cusp_data() -> ResolutionData:
     The parameter line maps onto the curve with Jacobian vanishing to
     order one at the preimage of the singular point.
     """
-    origin = SNCStratum("origin", (0,), MotiveSeries.one(), 1)
+    origin = SNCStratum("origin", (0,), ONE, 1)
     return ResolutionData((origin,), ((1,),))
 
 
@@ -37,7 +37,7 @@ def identity_data(dim: int) -> ResolutionData:
     The center is a single point carrying no divisor constraint, so the
     measure is read off exactly as ``u^-d``.
     """
-    center = SNCStratum("center", (), MotiveSeries.one(), dim)
+    center = SNCStratum("center", (), ONE, dim)
     return ResolutionData((center,), ((),))
 
 
@@ -65,11 +65,10 @@ def double_blowup_data() -> ResolutionData:
     """
     d = 2
     u = MotiveSeries.monomial(1)
-    one = MotiveSeries.one()
     strata = (
         SNCStratum("E1_open", (0,), u, d),
         SNCStratum("E2_open", (1,), u, d),
-        SNCStratum("E1_E2", (0, 1), one, d),
+        SNCStratum("E1_E2", (0, 1), ONE, d),
     )
     return ResolutionData(strata, ((1,), (2,), (1, 2)))
 

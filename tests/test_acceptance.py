@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from arcmeasure import (ArcJet, LaurentPoly, MotiveSeries, MultiPoly,
+from arcmeasure import (ONE, ArcJet, LaurentPoly, MotiveSeries, MultiPoly,
                         NEG_INF, PolySystem, PrecisionExhausted,
                         ResolutionData, ResolutionDiagram, SNCStratum,
                         check_boundedness, compare_germ_measures, compose,
@@ -83,8 +83,7 @@ def test_criterion_01_ring_suite(capsys):
 def test_criterion_02_completion_identity(capsys):
     bad = []
     for p in range(1, 9):
-        product = (LaurentPoly.one() - LaurentPoly.monomial(-p)) \
-            * geometric_sum(p, -40)
+        product = (ONE - LaurentPoly.monomial(-p)) * geometric_sum(p, -40)
         stated = MotiveSeries({0: 1}, -40 + p)
         if product.terms != {0: 1} or product.floor > -40 + p \
                 or product.with_floor(-40 + p) != stated:
@@ -100,7 +99,11 @@ def _random_multipoly(rng, variables):
         exps = tuple(rng.randint(0, 2) for _ in variables)
         terms[exps] = Fraction(rng.randint(-3, 3))
     poly = MultiPoly(variables, terms)
-    return poly if poly else MultiPoly.variable(variables, 0)
+    return poly if poly else _first_variable(variables)
+
+
+def _first_variable(variables):
+    return MultiPoly(variables, {(1,) + (0,) * (len(variables) - 1): 1})
 
 
 def test_criterion_03_jet_equation_oracle(capsys):
@@ -120,8 +123,7 @@ def test_criterion_03_jet_equation_oracle(capsys):
             # generator a multiple of (x - c): composition vanishes
             c = Fraction(rng.randint(-2, 2))
             rows[0] = [c] + [Fraction(0)] * level
-            factor = MultiPoly.variable(variables, 0) \
-                - MultiPoly.constant(variables, c)
+            factor = _first_variable(variables) - c
             gens = [factor * g for g in gens]
         system = PolySystem(variables, gens)
         arc = ArcJet.from_coeffs(rows, level)
@@ -230,8 +232,7 @@ def _random_diagram(rng):
     strata, p_mults, q_mults = [], [], []
     for i in range(n_strata):
         r = rng.randint(0, 2)
-        strata.append(SNCStratum(f"s{i}", tuple(range(r)),
-                                 LaurentPoly.one(), d))
+        strata.append(SNCStratum(f"s{i}", tuple(range(r)), ONE, d))
         p_mults.append(tuple(rng.randint(0, 2) for _ in range(r)))
         q_mults.append(tuple(rng.randint(0, 2) for _ in range(r)))
     return ResolutionDiagram(tuple(strata), tuple(p_mults), tuple(q_mults))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from arcmeasure import (ArcJet, Conclusion, LaurentPoly, MotiveSeries,
+from arcmeasure import (ONE, ArcJet, Conclusion, MotiveSeries,
                         MultiplicityVector, Order, PrecisionExhausted,
                         ResolutionDiagram, SNCStratum, check_boundedness,
                         germ_measure, inner_lipschitz_probe,
@@ -24,8 +24,7 @@ def diagram(entries, d=2):
     strata, ps, qs = [], [], []
     for name, p, q in entries:
         r = len(p)
-        strata.append(SNCStratum(name, tuple(range(r)),
-                                 LaurentPoly.one(), d))
+        strata.append(SNCStratum(name, tuple(range(r)), ONE, d))
         ps.append(MultiplicityVector(tuple(p)))
         qs.append(MultiplicityVector(tuple(q)))
     return ResolutionDiagram(tuple(strata), tuple(ps), tuple(qs))

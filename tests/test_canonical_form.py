@@ -186,14 +186,20 @@ def test_composed_series_are_canonical(a, arc):
 @given(rows(2), SCALARS)
 @settings(max_examples=200, deadline=None)
 def test_series_sums_are_canonical(pair, scalar):
+    # a sum, difference or multiple of series is compose along an arc
     a, b = pair
-    s, t = TruncSeries(a), TruncSeries(b)
-    assert_trunc(s, a)
-    assert_trunc(s + t, map(add, a, b))
-    assert_trunc(s - t, [x - y for x, y in zip(a, b)])
-    assert_trunc(s - s, [0] * len(a))
-    assert_trunc(-s, [-x for x in a])
-    assert_trunc(s * scalar, [x * scalar for x in a])
+    cap = len(a) - 1
+    assert_trunc(TruncSeries(a), a)
+    for f, arc, expected in (
+            ("x + y", (a, b), map(add, a, b)),
+            ("x - y", (a, b), [x - y for x, y in zip(a, b)]),
+            ("x - y", (a, a), [0] * len(a)),
+            ("-x", (a, b), [-x for x in a])):
+        assert_trunc(compose(parse_poly(f, XY), ArcJet.from_coeffs(arc, cap)),
+                     expected)
+    assert_trunc(compose(MultiPoly(XY, {(1, 0): scalar}),
+                         ArcJet.from_coeffs(pair, cap)),
+                 [x * scalar for x in a])
 
 
 def ref_poly_text(terms):

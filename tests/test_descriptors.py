@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from arcmeasure import (LaurentPoly, MotiveSeries, germ_measure, parse_motive,
-                        virtual_dim)
+from arcmeasure import (ONE, ZERO, LaurentPoly, MotiveSeries, germ_measure,
+                        parse_motive, virtual_dim)
 
 import catalog
 from descriptors import (CylinderDescriptor, InsufficientApproximants,
@@ -28,12 +28,12 @@ def test_measure_point_germ():
 
 def test_measure_whole_space():
     a = StableSetDescriptor(0, mono(1), 1)
-    assert measure_stable(a) == LaurentPoly.one()
+    assert measure_stable(a) == ONE
 
 
 def test_measure_empty_set():
-    a = StableSetDescriptor(3, LaurentPoly.zero(), 2)
-    assert measure_stable(a) == LaurentPoly.zero()
+    a = StableSetDescriptor(3, ZERO, 2)
+    assert measure_stable(a) == ZERO
 
 
 def test_re_level_keeps_measure():
@@ -100,7 +100,7 @@ def test_descriptors_reject_out_of_range_input(build, error):
 # cylinders
 
 def test_cylinder_origin_level_zero():
-    c = CylinderDescriptor(0, LaurentPoly.one(), 1)
+    c = CylinderDescriptor(0, ONE, 1)
     assert measure_cylinder(c) == mono(-1)
 
 
@@ -112,7 +112,7 @@ def test_cylinder_order_exactly_one():
 def test_cylinder_full_base():
     n, d = 3, 2
     c = CylinderDescriptor(n, mono((n + 1) * d), d)
-    assert measure_cylinder(c) == LaurentPoly.one()
+    assert measure_cylinder(c) == ONE
 
 
 def test_cylinder_level_presentation_invariance():
@@ -122,8 +122,7 @@ def test_cylinder_level_presentation_invariance():
 
 
 def test_cylinder_singular_ambient_refused():
-    c = CylinderDescriptor(0, LaurentPoly.one(), 1,
-                           nonsingular_ambient=False)
+    c = CylinderDescriptor(0, ONE, 1, nonsingular_ambient=False)
     with pytest.raises(SingularAmbient):
         measure_cylinder(c)
 
@@ -132,13 +131,13 @@ def test_cylinder_singular_ambient_refused():
 # measurable sets
 
 def test_measurable_from_stable():
-    a = StableSetDescriptor(0, LaurentPoly.one(), 1)
+    a = StableSetDescriptor(0, ONE, 1)
     m = MeasurableDescriptor.wrap_stable(a, -50)
     assert measure_measurable(m, -8) == MotiveSeries({-1: 1}, -8)
 
 
 def test_measurable_needs_deep_enough_approximant():
-    a = StableSetDescriptor(0, LaurentPoly.one(), 1)
+    a = StableSetDescriptor(0, ONE, 1)
     m = MeasurableDescriptor.wrap_stable(a, -4)
     with pytest.raises(InsufficientApproximants):
         measure_measurable(m, -5)  # only certified down to -4
@@ -151,7 +150,7 @@ def test_measurable_empty_list():
 
 
 def test_measurable_accepts_any_iterable_and_hashes():
-    a = StableSetDescriptor(0, LaurentPoly.one(), 1)
+    a = StableSetDescriptor(0, ONE, 1)
     b = StableSetDescriptor(1, mono(1), 1)
     pairs = [(a, -3), (b, -6)]
     m = MeasurableDescriptor(x for x in pairs)
@@ -162,7 +161,7 @@ def test_measurable_accepts_any_iterable_and_hashes():
 
 
 def test_measurable_bounds_must_decrease():
-    a = StableSetDescriptor(0, LaurentPoly.one(), 1)
+    a = StableSetDescriptor(0, ONE, 1)
     with pytest.raises(ValueError):
         MeasurableDescriptor(((a, -3), (a, -3)))
 
@@ -174,7 +173,7 @@ def test_measurable_cusp_exhaustion_matches_resolution():
     dimensions at or below -(2k+2).
     """
     floor = -12
-    partial = LaurentPoly.zero()
+    partial = ZERO
     approximants = []
     for e in range(1, 8):
         # contact-e arcs through the cusp normalization, pushed forward
@@ -194,7 +193,7 @@ def test_measurable_cusp_exhaustion_matches_resolution():
 
 def test_union_of_two_stable_sets():
     a = MeasurableDescriptor.wrap_stable(
-        StableSetDescriptor(0, LaurentPoly.one(), 1), -40)
+        StableSetDescriptor(0, ONE, 1), -40)
     b = MeasurableDescriptor.wrap_stable(
         StableSetDescriptor(1, mono(1) - 1, 1), -40)
     out = disjoint_union_measure([a, b], -6)
@@ -225,7 +224,7 @@ def test_union_additivity_randomized():
     for _ in range(30):
         floor = -rng.randint(5, 12)
         parts = []
-        total = LaurentPoly.zero()
+        total = ZERO
         for _ in range(rng.randint(1, 4)):
             cls = LaurentPoly({rng.randint(0, 5): rng.randint(-3, 3)
                                for _ in range(2)})

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from arcmeasure import (NEG_INF, ONE, U, ZERO, ArcJet, ArityMismatch,
                         BoundViolated, LaurentPoly, MotiveSeries, MultiPoly,
-                        Order, PolySystem, PrecisionExhausted, RingParseError,
+                        Order, ParseError, PolySystem, PrecisionExhausted,
                         TruncSeries, geometric_sum, jet_equations, leq_order,
                         limit_of_sequence, parse_motive, parse_poly, render,
                         render_poly, render_trunc, virtual_dim)
@@ -258,7 +258,7 @@ def test_limit_singleton():
 
 def test_limit_partial_sums_give_geometric():
     K = 7
-    sums, acc = [], LaurentPoly.zero()
+    sums, acc = [], ZERO
     for i in range(K + 2):
         acc = acc + mono(-i)
         sums.append(acc)
@@ -312,17 +312,17 @@ def test_render_canonical_forms():
 
 def test_parse_rejects_garbage():
     for bad in ("u +* u", "3u", "u^", "^2", "u**2", "", "*u"):
-        with pytest.raises(RingParseError):
+        with pytest.raises(ParseError):
             parse_motive(bad)
 
 
 def test_parse_error_carries_offset():
     try:
         parse_motive("u^2 + @")
-    except RingParseError as exc:
+    except ParseError as exc:
         assert exc.offset == 6
     else:
-        pytest.fail("expected RingParseError")
+        pytest.fail("expected ParseError")
 
 
 def test_parse_reads_products_of_factors():
@@ -332,7 +332,7 @@ def test_parse_reads_products_of_factors():
     # a p/q literal is no ring coefficient, even one worth an integer
     for text, offset in (("1/2*u", 0), ("u + 2/1*u", 4), ("3/3^0", 0),
                          ("2^-1", 2), ("u^", 2)):
-        with pytest.raises(RingParseError) as info:
+        with pytest.raises(ParseError) as info:
             parse_motive(text)
         assert info.value.offset == offset, text
 
@@ -350,7 +350,7 @@ def test_parse_digit_cap_is_the_scanners_own(limit):
         assert parse_motive(f"u^-{literal}") == mono(1 - 10 ** 4300)
         for text, offset in ((literal + "9", 0), (f"u^{literal}9", 2),
                              (f"u + O(u^-{literal}9)", 8)):
-            with pytest.raises(RingParseError) as info:
+            with pytest.raises(ParseError) as info:
                 parse_motive(text)
             assert info.value.offset == offset
             assert "4300 digits" in str(info.value)
@@ -362,7 +362,7 @@ def test_parse_rejects_term_at_or_below_floor():
     for text, offset in (("u^-20 + O(u^-10)", 0),
                          ("u^-2 - 3*u^-10 + O(u^-10)", 7),
                          ("u^-10 - u^-10 + O(u^-10)", 0)):
-        with pytest.raises(RingParseError) as info:
+        with pytest.raises(ParseError) as info:
             parse_motive(text)
         assert info.value.offset == offset, text
         assert "floor" in str(info.value)
@@ -371,7 +371,7 @@ def test_parse_rejects_term_at_or_below_floor():
 def test_parse_rejects_minus_before_o_term():
     for text, offset in (("-O(u^-3)", 0), ("- O(u^-3)", 0),
                          ("u^-1 - O(u^-3)", 5)):
-        with pytest.raises(RingParseError) as info:
+        with pytest.raises(ParseError) as info:
             parse_motive(text)
         assert info.value.offset == offset, text
 
@@ -380,7 +380,7 @@ def test_parse_rejects_malformed_o_terms_at_their_offset():
     for text, offset, message in (("u + O(x^-3)", 4, "expected 'O(u^'"),
                                   ("u + O(u^-3", 10, "expected ')'"),
                                   ("u + O(u^-3)u", 11, "trailing input")):
-        with pytest.raises(RingParseError) as info:
+        with pytest.raises(ParseError) as info:
             parse_motive(text)
         assert info.value.offset == offset, text
         assert message in str(info.value), text
@@ -390,7 +390,7 @@ def test_parse_offsets_count_from_the_raw_text():
     # leading blanks count, as in parse_poly; trailing blanks are dropped
     for text, offset in (("  u +", 5), ("  u +  ", 5), ("\tu @", 3),
                          (" u - O(u^-3)", 3), ("\nu", 0)):
-        with pytest.raises(RingParseError) as info:
+        with pytest.raises(ParseError) as info:
             parse_motive(text)
         assert info.value.offset == offset, text
     assert parse_motive("  u - 1 \n") == parse_motive("u - 1")
@@ -570,17 +570,15 @@ LONG, LONG_TEXT = 10 ** 4300, "1" + "0" * 4300
      f"declared < -{LONG_TEXT}"),
     (lambda: virtual_dim(MotiveSeries({}, -LONG)), PrecisionExhausted,
      f"series vanishes above floor -{LONG_TEXT}; dimension unknown"),
-    (lambda: parse_motive(f"u + O(u^{'9' * 4300})"), RingParseError,
+    (lambda: parse_motive(f"u + O(u^{'9' * 4300})"), ParseError,
      f"term at or below the floor {'9' * 4300} at offset 0"),
     (lambda: MotiveSeries({}, LONG).with_floor(-LONG), ValueError,
      f"cannot lower floor from {LONG_TEXT} to -{LONG_TEXT}"),
-    (lambda: MotiveSeries({}, -LONG).degree, ValueError,
-     f"degree unknown below floor -{LONG_TEXT}"),
     (lambda: measure_measurable(MeasurableDescriptor(()), -LONG),
      InsufficientApproximants,
      f"no approximant with error bound <= -{LONG_TEXT}"),
 ], ids=["leq_order", "limit-precision", "limit-bound", "virtual_dim",
-        "parse_motive", "with_floor", "degree", "measure_measurable"])
+        "parse_motive", "with_floor", "measure_measurable"])
 def test_errors_print_long_ints_in_full(limit, call, error, message):
     with int_digit_limit(limit):
         with pytest.raises(error) as info:
@@ -673,7 +671,7 @@ def test_ring_laws(ring, data):
     (lambda: MultiPoly(("x",), {(-1,): 1}), ValueError),
     (lambda: MultiPoly(("x", "y"), {(1,): 1}), ArityMismatch),
     (lambda: MultiPoly(("x",), {(1,): "a"}), TypeError),
-    (lambda: MultiPoly.constant(("x",), "1/0"), TypeError),
+    (lambda: MultiPoly(("x",), {(0,): "1/0"}), TypeError),
     (lambda: MultiPoly(("x",), {(1,): 0.1}), TypeError),
     (lambda: MultiPoly(("x",), {(1,): True}), TypeError),
     (lambda: MultiPoly(("x",), {(1.5,): 1}), TypeError),
@@ -683,13 +681,8 @@ def test_ring_laws(ring, data):
     (lambda: TruncSeries([1, 2, 3], 1), ValueError),
     (lambda: TruncSeries([]), ValueError),
     (lambda: TruncSeries([1, 2], True), TypeError),
-    (lambda: TruncSeries.monomial(-1, 3), ValueError),
     (lambda: ArcJet.from_coeffs([[1]], True), TypeError),
-    (lambda: MultiPoly.variable(("x", "y"), -1), IndexError),
-    (lambda: MultiPoly.variable(("x", "y"), 2), IndexError),
-    (lambda: MultiPoly.variable(("x", "y"), True), TypeError),
     (lambda: U ** -1, ValueError),
-    (lambda: ZERO.leading_coefficient(), ValueError),
     (lambda: virtual_dim(1), TypeError),
     (lambda: leq_order(ONE, 1.5), TypeError),
     (lambda: geometric_sum(1, NEG_INF), ValueError),
@@ -697,9 +690,9 @@ def test_ring_laws(ring, data):
     (lambda: limit_of_sequence([ONE, ONE], []), ValueError),
     (lambda: render(1), TypeError),
     (lambda: ONE ** True, TypeError),
-    (lambda: MultiPoly.variable(("x",), 0) ** True, TypeError),
+    (lambda: MultiPoly(("x",), {(1,): 1}) ** True, TypeError),
     (lambda: U ** 2.0, TypeError),
-    (lambda: jet_equations(PolySystem(("x",), [MultiPoly.variable(("x",), 0)]),
+    (lambda: jet_equations(PolySystem(("x",), [MultiPoly(("x",), {(1,): 1})]),
                            True), TypeError),
 ], ids=["laurent-float-exponent", "laurent-bool-exponent",
         "laurent-float-coefficient", "laurent-plus-bool",
@@ -709,10 +702,8 @@ def test_ring_laws(ring, data):
         "poly-float-coefficient", "poly-bool-coefficient",
         "poly-float-exponent", "poly-str-exponent", "poly-bool-exponent",
         "trunc-negative-cap", "trunc-row-past-cap", "trunc-empty",
-        "trunc-bool-cap", "trunc-negative-exponent", "arc-bool-cap",
-        "poly-variable-negative-index", "poly-variable-index-past-end",
-        "poly-variable-bool-index", "negative-power",
-        "zero-leading-coefficient", "dim-of-int", "order-of-float",
+        "trunc-bool-cap", "arc-bool-cap", "negative-power", "dim-of-int",
+        "order-of-float",
         "geometric-exact-floor", "limit-of-nothing", "limit-missing-bound",
         "render-int", "series-bool-power", "poly-bool-power", "float-power",
         "jets-bool-level"])
@@ -722,7 +713,7 @@ def test_constructors_reject_malformed_terms(build, error):
 
 
 @pytest.mark.parametrize("value", [
-    MotiveSeries({1: 1}, -3), ONE, MultiPoly.constant(("x",), 1),
+    MotiveSeries({1: 1}, -3), ONE, MultiPoly(("x",), {(0,): 1}),
     parse_poly("x + 1", ("x",))])
 def test_a_bool_is_no_ring_element(value):
     # == leaves a bool to Python, which falls back to identity
@@ -783,17 +774,6 @@ def test_equal_values_hash_equal():
     assert len({ONE, 1}) == 1 and len({ZERO, 0}) == 1
     assert MotiveSeries({0: 3}) in {3}
     assert len({p, p.with_floor(-3)}) == 2  # different floors differ
-
-
-def test_degree_and_leading_coefficient_need_an_exact_value():
-    p = parse_motive("-2*u^3 + u")
-    assert p.degree == 3 and p.leading_coefficient() == -2
-    assert ZERO.degree == NEG_INF
-    floored = parse_motive("-2*u^3 + u + O(u^-2)")
-    with pytest.raises(ValueError):
-        floored.degree
-    with pytest.raises(ValueError):
-        floored.leading_coefficient()
 
 
 def test_power_only_of_exact_values():

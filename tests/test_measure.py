@@ -1,16 +1,19 @@
 """Resolution-data integrals: closed form against brute enumeration."""
 
 import copy
+import json
 import pickle
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcmeasure import (NEG_INF, BadContact, DivergentExponent, IndexMismatch,
-                        LaurentPoly, MotiveSeries, MultiplicityVector, Order,
+from arcmeasure import (NEG_INF, ONE, ZERO, BadContact, DivergentExponent,
+                        IndexMismatch, LaurentPoly, MotiveSeries,
+                        MultiplicityVector, Order,
                         PrecisionExhausted, ResolutionData, ResolutionDiagram,
                         SNCStratum, compare_germ_measures,
                         contact_stratum_measure, geometric_sum, germ_measure,
@@ -41,7 +44,7 @@ def cusp_series(floor):
 # contact strata
 
 def test_contact_measure_point_on_line():
-    s = SNCStratum("origin", (0,), LaurentPoly.one(), 1)
+    s = SNCStratum("origin", (0,), ONE, 1)
     for e in (1, 2, 5):
         assert contact_stratum_measure(s, (e,)) \
             == (mono(1) - 1) * mono(-e - 1)
@@ -70,11 +73,11 @@ def test_contact_measure_brute_jet_count():
         d = rng.randint(1, 3)
         r = rng.randint(0, d)
         e = tuple(rng.randint(1, 4) for _ in range(r))
-        s = SNCStratum("s", tuple(range(r)), LaurentPoly.one(), d)
+        s = SNCStratum("s", tuple(range(r)), ONE, d)
         n = max(e, default=0) + rng.randint(1, 3)
         # jets at level n: (u-1)u^(n-e_i) per contact direction,
         # u^n per transverse direction times the class
-        cls = LaurentPoly.one()
+        cls = ONE
         for ei in e:
             cls = cls * (mono(1) - 1) * mono(n - ei)
         cls = cls * mono(n * (d - r))
@@ -83,7 +86,7 @@ def test_contact_measure_brute_jet_count():
 
 
 def test_contact_rejects_low_contact():
-    s = SNCStratum("s", (0,), LaurentPoly.one(), 1)
+    s = SNCStratum("s", (0,), ONE, 1)
     with pytest.raises(BadContact):
         contact_stratum_measure(s, (0,))
     with pytest.raises(IndexMismatch):
@@ -101,11 +104,11 @@ def test_ord_jac_on_stratum_dot_product():
 
 def test_stratum_validation():
     with pytest.raises(ValueError):
-        SNCStratum("s", (0, 0), LaurentPoly.one(), 2)  # repeated divisor
+        SNCStratum("s", (0, 0), ONE, 2)  # repeated divisor
     with pytest.raises(ValueError):
-        SNCStratum("s", (0, 1), LaurentPoly.one(), 1)  # |I| > d
+        SNCStratum("s", (0, 1), ONE, 1)  # |I| > d
     with pytest.raises(ValueError):
-        SNCStratum("s", (0,), LaurentPoly.zero(), 1)  # empty stratum
+        SNCStratum("s", (0,), ZERO, 1)  # empty stratum
     with pytest.raises(ValueError):
         SNCStratum("s", (0,), 1, 1)  # not a ring value
     with pytest.raises(ValueError, match="class must be exact"):
@@ -114,13 +117,13 @@ def test_stratum_validation():
 
 @pytest.mark.parametrize("build, error", [
     (lambda: MultiplicityVector((1, -1)), ValueError),
-    (lambda: SNCStratum("s", (), LaurentPoly.one(), 0), ValueError),
+    (lambda: SNCStratum("s", (), ONE, 0), ValueError),
     (lambda: ord_jac_on_stratum([1, 2], [1]), IndexMismatch),
     (lambda: ResolutionData((), ()), ValueError),
     (lambda: ResolutionData(catalog.line_data().strata, ()), IndexMismatch),
     (lambda: ResolutionData(
-        (SNCStratum("a", (0,), LaurentPoly.one(), 1),
-         SNCStratum("b", (0,), LaurentPoly.one(), 2)), ((0,), (0,))),
+        (SNCStratum("a", (0,), ONE, 1),
+         SNCStratum("b", (0,), ONE, 2)), ((0,), (0,))),
      ValueError),
 ], ids=["negative-mult", "zero-dim", "ord-lengths", "no-strata",
         "missing-mults", "mixed-dims"])
@@ -133,22 +136,22 @@ def test_measure_layer_rejects_out_of_range_data(build, error):
     lambda: MultiplicityVector((1.5, 2)),
     lambda: MultiplicityVector(("2",)),
     lambda: MultiplicityVector((True,)),
-    lambda: SNCStratum("s", (0,), LaurentPoly.one(), 2.9),
-    lambda: SNCStratum("s", (0,), LaurentPoly.one(), True),
+    lambda: SNCStratum("s", (0,), ONE, 2.9),
+    lambda: SNCStratum("s", (0,), ONE, True),
     lambda: contact_stratum_measure(
-        SNCStratum("s", (0,), LaurentPoly.one(), 1), (1.0,)),
+        SNCStratum("s", (0,), ONE, 1), (1.0,)),
     lambda: contact_stratum_measure(
-        SNCStratum("s", (0,), LaurentPoly.one(), 1), (True,)),
+        SNCStratum("s", (0,), ONE, 1), (True,)),
     lambda: ord_jac_on_stratum([1.9], [2]),
     lambda: ord_jac_on_stratum([1], [2.2]),
     lambda: ord_jac_on_stratum([True], [2]),
     lambda: germ_measure(ResolutionData(
-        (SNCStratum("s", (0,), LaurentPoly.one(), 1),), ((0.9,),)), -10),
+        (SNCStratum("s", (0,), ONE, 1),), ((0.9,),)), -10),
     lambda: motivic_integral(catalog.line_data(), [[0.5]], -10),
     lambda: motivic_integral_by_enumeration(catalog.line_data(), [["1"]],
                                             -10),
-    lambda: SNCStratum("s", (0.5,), LaurentPoly.one(), 1),
-    lambda: SNCStratum("s", (True,), LaurentPoly.one(), 1),
+    lambda: SNCStratum("s", (0.5,), ONE, 1),
+    lambda: SNCStratum("s", (True,), ONE, 1),
     lambda: germ_measure(catalog.cusp_data(), 2.5),
     lambda: germ_measure(catalog.cusp_data(), True),
     lambda: germ_measure(catalog.cusp_data(), NEG_INF),
@@ -163,36 +166,44 @@ def test_measure_layer_rejects_non_ints(build):
 
 
 def test_resolution_data_validation():
-    s = SNCStratum("s", (0,), LaurentPoly.one(), 1)
+    s = SNCStratum("s", (0,), ONE, 1)
     with pytest.raises(IndexMismatch):
         ResolutionData((s,), (MultiplicityVector((1, 2)),))
-    t = SNCStratum("s", (0,), LaurentPoly.one(), 2)
+    t = SNCStratum("s", (0,), ONE, 2)
     with pytest.raises(ValueError):  # duplicate names
         ResolutionData((t, t), (MultiplicityVector((1,)),) * 2)
 
 
+def golden_payload(name):
+    path = Path(__file__).resolve().parent / "golden" / name
+    return json.loads(path.read_text("utf-8"))["payload"]
+
+
 def test_resolution_json_round_trip():
-    data = catalog.double_blowup_data()
-    again = ResolutionData.from_json(data.to_json())
-    assert again == data
+    # a golden problem file holds a catalog value in its JSON form
+    data = golden_payload("blowup_plane_measure.json")["resolution"]
+    assert ResolutionData.from_json(data) == catalog.blowup_data(2)
 
 
 def test_resolution_json_names_the_bad_field():
-    data = catalog.double_blowup_data().to_json()
-    data["strata"][1]["class"] = "u +* 1"
+    data = golden_payload("blowup_plane_measure.json")["resolution"]
+    data["strata"][0]["class"] = "u +* 1"
     with pytest.raises(ValueError,
-                       match=r"^resolution\.strata\[1\]\.class: "):
+                       match=r"^resolution\.strata\[0\]\.class: "):
         ResolutionData.from_json(data)
-    data["strata"][1]["class"] = "1 + O(u^-4)"
+    data["strata"][0]["class"] = "1 + O(u^-4)"
     with pytest.raises(ValueError, match=r"^x: stratum .*must be exact"):
         ResolutionData.from_json(data, "x")
 
 
 def test_diagram_json_round_trip():
-    diag = catalog.cusp_to_line_diagram()
-    again = ResolutionDiagram.from_json(diag.to_json())
-    assert again == diag
-    assert diag.to_json()["strata"][0]["q_mults"] == [0]
+    payload = golden_payload("cusp_line_check_map.json")
+    assert ResolutionDiagram.from_json(payload["diagram"]) \
+        == catalog.cusp_to_line_diagram()
+    assert ResolutionData.from_json(payload["mu_x"]["resolution"]) \
+        == catalog.cusp_data()
+    assert ResolutionData.from_json(payload["mu_y"]["resolution"]) \
+        == catalog.line_data()
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +250,7 @@ def test_catalog_measure_dims():
 
 
 def test_stratum_additivity():
-    a = SNCStratum("a", (0,), LaurentPoly.one(), 1)
+    a = SNCStratum("a", (0,), ONE, 1)
     b = SNCStratum("b", (1,), mono(0, 2), 1)
     joint = ResolutionData(
         (a, b), (MultiplicityVector((1,)), MultiplicityVector((0,))))
@@ -356,7 +367,7 @@ def test_enumeration_matches_closed_form_randomized():
             cls = LaurentPoly({rng.randint(0, 5): rng.randint(-4, 4)
                                for _ in range(rng.randint(1, 3))})
             if not cls:
-                cls = LaurentPoly.one()
+                cls = ONE
             strata.append(SNCStratum(f"s{k}", tuple(range(r)), cls, d))
             mults.append(MultiplicityVector(
                 tuple(rng.randint(0, 4) for _ in range(r))))
@@ -429,7 +440,7 @@ def product_closed_form(data, alpha_mults, floor):
         part = MotiveSeries.from_poly(prefactor)
         if ks:
             # deep enough that the prefactor keeps the tail below floor
-            working = min(floor - int(prefactor.degree), -1)
+            working = min(floor - virtual_dim(prefactor), -1)
             for k in ks:
                 part = part * geometric_sum(k, working)
             part = part.with_floor(floor)
@@ -534,13 +545,13 @@ def test_terms_read_late_or_early_give_the_same_results(res, floor):
 
 def test_dimension_and_zero_below_the_floor():
     # degree -5 lies below the floor -4: only the closed form knows it
-    s = SNCStratum("p", (0,), LaurentPoly.one(), 2)
+    s = SNCStratum("p", (0,), ONE, 2)
     deep = germ_measure(ResolutionData((s,), (MultiplicityVector((3,)),)),
                         -4)
     assert deep.terms == {} and virtual_dim(deep) == -5
     with pytest.raises(PrecisionExhausted):
         virtual_dim(deep.with_floor(-4))
-    t = SNCStratum("q", (0,), -LaurentPoly.one(), 2)
+    t = SNCStratum("q", (0,), -ONE, 2)
     zero = germ_measure(ResolutionData((s, t), ((3,), (3,))), -4)
     assert virtual_dim(zero) == NEG_INF
     assert compare_germ_measures(zero, 0) == Order.EQUAL
@@ -583,7 +594,7 @@ def test_enumeration_cutoff_keeps_printed_terms(res, floor, e_max):
 
 def test_closed_form_prefactor_at_or_below_floor():
     # [S] u^-d (u-1) u^-k has degree -5 here, below the floor -4
-    s = SNCStratum("p", (0,), LaurentPoly.one(), 2)
+    s = SNCStratum("p", (0,), ONE, 2)
     data = ResolutionData((s,), (MultiplicityVector((3,)),))
     for floor in (-4, -5):
         closed = germ_measure(data, floor)
@@ -594,7 +605,7 @@ def test_closed_form_prefactor_at_or_below_floor():
 
 def test_closed_form_deep_floor_matches_product():
     triple = ResolutionData(
-        (SNCStratum("o", (0, 1, 2), LaurentPoly.one(), 3),
+        (SNCStratum("o", (0, 1, 2), ONE, 3),
          SNCStratum("c", (0, 1), mono(1) - 1, 3),
          SNCStratum("e", (0,), mono(2) - 2 * mono(1) + 1, 3)),
         ((1, 2, 3), (1, 2), (1,)))
