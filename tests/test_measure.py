@@ -179,19 +179,30 @@ def golden_payload(name):
     return json.loads(path.read_text("utf-8"))["payload"]
 
 
+def double_blowup_json():
+    """``catalog.double_blowup_data()`` in its problem-file JSON form."""
+    return {"ambient_dim": 2, "strata": [
+        {"name": "E1_open", "index_set": [0], "class": "u", "p_mults": [1]},
+        {"name": "E2_open", "index_set": [1], "class": "u", "p_mults": [2]},
+        {"name": "E1_E2", "index_set": [0, 1], "class": "1",
+         "p_mults": [1, 2]}]}
+
+
 def test_resolution_json_round_trip():
+    assert ResolutionData.from_json(double_blowup_json()) \
+        == catalog.double_blowup_data()
     # a golden problem file holds a catalog value in its JSON form
     data = golden_payload("blowup_plane_measure.json")["resolution"]
     assert ResolutionData.from_json(data) == catalog.blowup_data(2)
 
 
 def test_resolution_json_names_the_bad_field():
-    data = golden_payload("blowup_plane_measure.json")["resolution"]
-    data["strata"][0]["class"] = "u +* 1"
+    data = double_blowup_json()
+    data["strata"][1]["class"] = "u +* 1"
     with pytest.raises(ValueError,
-                       match=r"^resolution\.strata\[0\]\.class: "):
+                       match=r"^resolution\.strata\[1\]\.class: "):
         ResolutionData.from_json(data)
-    data["strata"][0]["class"] = "1 + O(u^-4)"
+    data["strata"][1]["class"] = "1 + O(u^-4)"
     with pytest.raises(ValueError, match=r"^x: stratum .*must be exact"):
         ResolutionData.from_json(data, "x")
 

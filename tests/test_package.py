@@ -89,6 +89,13 @@ def _fresh(code):
                           capture_output=True, text=True, check=True).stdout
 
 
+def test_exports_resolve_outside_the_test_tree():
+    # pytest puts tests/ on sys.path; a fresh interpreter in src/ does not,
+    # so a module importing a test helper such as descriptors fails here
+    _fresh("import arcmeasure\n"
+           "[getattr(arcmeasure, n) for n in arcmeasure.__all__]")
+
+
 def test_cli_import_loads_no_unused_module():
     out = _fresh("import sys, arcmeasure.cli; print(sorted(m for m in "
                  f"{UNUSED!r} if m in sys.modules))")

@@ -45,8 +45,6 @@ def test_render_trunc():
 def test_trunc_series_rejects_inexact_coefficients(coeff):
     with pytest.raises(TypeError):
         TruncSeries([1, coeff], 2)
-    with pytest.raises(TypeError):
-        TruncSeries([0, coeff], 2)
 
 
 def test_trunc_series_keeps_fractions():
