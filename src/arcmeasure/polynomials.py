@@ -4,7 +4,9 @@ A polynomial is stored as ints over one positive denominator: ``_num``
 maps each exponent vector, aligned with an ordered tuple of variable
 names, to a nonzero int, and ``den`` is kept so that ``gcd(den,
 *coefficients) == 1`` (1 for zero).  ``terms`` is a ``Fraction`` view
-rebuilt on every read.
+rebuilt on every read.  A jet equation also carries its canonical text
+in ``_text``, built with it from its multinomial blocks; every other
+polynomial stores ``None`` there and prints from its terms.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def _over_lcm(values):
 class MultiPoly(_Frozen):
     """Polynomial in the given variables over the rationals."""
 
-    __slots__ = ("variables", "_num", "den")
+    __slots__ = ("variables", "_num", "den", "_text")
 
     def __init__(self, variables, terms=None):
         variables = tuple(variables)
@@ -59,7 +61,8 @@ class MultiPoly(_Frozen):
             if _coefficient(c):
                 clean[exps] = c
         nums, den = _over_lcm(list(clean.values()))
-        self._set(variables=variables, _num=dict(zip(clean, nums)), den=den)
+        self._set(variables=variables, _num=dict(zip(clean, nums)), den=den,
+                  _text=None)
 
     @classmethod
     def _reduced(cls, variables, num, den) -> "MultiPoly":
@@ -67,7 +70,7 @@ class MultiPoly(_Frozen):
         g = 1 if den == 1 else gcd(den, *num.values())
         if g != 1:
             num, den = {e: c // g for e, c in num.items()}, den // g
-        return cls._new(variables, num, den)
+        return cls._new(variables, num, den, None)
 
     @classmethod
     def zero(cls, variables) -> "MultiPoly":
@@ -89,7 +92,9 @@ class MultiPoly(_Frozen):
             return NotImplemented
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
-        return _Frozen.__eq__(self, other)
+        if type(other) is not MultiPoly:
+            return NotImplemented
+        return self._fields()[:3] == other._fields()[:3]  # not _text
 
     def __hash__(self):
         if self.is_constant():  # equal to its value
@@ -119,7 +124,8 @@ class MultiPoly(_Frozen):
 
     def __neg__(self):
         return MultiPoly._new(self.variables,
-                              {e: -c for e, c in self._num.items()}, self.den)
+                              {e: -c for e, c in self._num.items()}, self.den,
+                              None)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -147,7 +153,7 @@ class MultiPoly(_Frozen):
         one = {(0,) * len(self.variables): 1}
         return MultiPoly._new(
             self.variables, _pow_terms(self._num, n, one, _add_exponents),
-            self.den ** n)
+            self.den ** n, None)
 
     def diff(self, index: int) -> "MultiPoly":
         """Partial derivative with respect to ``variables[index]``."""
@@ -179,17 +185,24 @@ def _add_exponents(e1, e2):
 
 
 def render_poly(p: MultiPoly) -> str:
-    """Deterministic text form with explicit ``*`` between factors."""
-    return _all_digits(_poly_text, p)
+    """Deterministic text form with explicit ``*`` between factors.
+
+    Terms print in graded lexicographic order, largest first.  A jet
+    equation returns the text it was built with, which is this text.
+    """
+    return p._text or _all_digits(_poly_text, p)
+
+
+def _factors(names, exps):
+    """``*v^k`` per name of nonzero power, in order; ``v^1`` is ``*v``."""
+    return "".join([f"*{v}^{k}" if k > 1 else f"*{v}" for v, k in
+                    zip(compress(names, exps), filter(None, exps))])
 
 
 def _poly_text(p):
     terms = sorted(zip(map(sum, p._num), p._num, p._num.values()),
                    reverse=True)  # graded lexicographic, largest first
-    # a factor per variable of nonzero power, in variable order
-    monos = ["*".join([f"{v}^{k}" if k > 1 else v for v, k in
-                       zip(compress(p.variables, e), filter(None, e))])
-             for _, e, _ in terms]
+    monos = [_factors(p.variables, e)[1:] for _, e, _ in terms]
     # each monomial is one factor to the power 1, the constant's to 0
     return _signed_sum([c for _, _, c in terms], monos, map(bool, monos),
                        p.den) or "0"
@@ -216,7 +229,7 @@ def parse_poly(text: str, variables) -> MultiPoly:
         terms[exponents] = terms.get(exponents, 0) + c
     terms = {e: c for e, c in terms.items() if c}
     nums, den = _over_lcm(list(terms.values()))
-    return MultiPoly._new(variables, dict(zip(terms, nums)), den)
+    return MultiPoly._new(variables, dict(zip(terms, nums)), den, None)
 
 
 class PolySystem(_Frozen):

@@ -15,9 +15,9 @@ from math import comb, gcd, lcm, prod
 from operator import add
 
 from .grothendieck import (_all_digits, _check_int, _evaluate, _Frozen,
-                           _series_text)
+                           _series_text, _signed_sum)
 from .polynomials import (ArityMismatch, MultiPoly, PolySystem, _coefficient,
-                          _jacobian_ideal, _over_lcm, matrix_minors)
+                          _factors, _jacobian_ideal, _over_lcm, matrix_minors)
 
 
 class IndeterminateAtCap(ArithmeticError):
@@ -246,7 +246,7 @@ def jet_equations(system: PolySystem, level: int) -> PolySystem:
     jet_vars = jet_variable_names(len(system.variables), level)
     equations = []
     for g in system:
-        equations.extend(_jet_expansion(g, level, jet_vars))
+        equations.extend(_all_digits(_jet_expansion, g, level, jet_vars))
     return PolySystem(jet_vars, equations)
 
 
@@ -263,32 +263,45 @@ def _jet_expansion(g: MultiPoly, level: int, jet_vars):
     concatenated while the power of t stays at most ``level``.  Distinct
     variables own disjoint jet variables and the block of ``x_j`` has
     total degree ``e_j``, so every combination is a distinct monomial:
-    nothing is summed or cancelled.
+    nothing is summed or cancelled.  The text of each block is built
+    once, a monomial's text is joined from its blocks' texts, and each
+    slice stores the text that ``render_poly`` prints.
     """
     # partitions (s, (m_1 .. m_level), p, p!/prod m_i!, largest part),
     # one round per p <= level whatever the degree.  Adding parts in
     # nondecreasing order lists each once and keeps a round in descending
-    # order of m, so each term of g fills its slices in the order that
-    # render_poly sorts them into
+    # order of m, so each term of g fills its slices in descending runs
+    # that one sort per slice merges
     rows = last = [(0, (0,) * level, 0, 1, 1)]
     for _ in range(min(level, max(map(max, g._num)))):
         last = [(s + j, m[:j - 1] + (m[j - 1] + 1,) + m[j:], p + 1,
                  r * (p + 1) // (m[j - 1] + 1), j)
                 for s, m, p, r, top in last for j in range(top, level + 1 - s)]
         rows = rows + last
-    powers = {}  # exponent -> its terms, for this call only
-    by_t = [{} for _ in range(level + 1)]
+    blocks = {}  # (variable, exponent) -> its terms, for this call only
+    by_t = [[] for _ in range(level + 1)]
     for e, c in g._num.items():
-        partial = [(0, (), c)]
-        for k in e:
-            if k not in powers:
-                powers[k] = [(s, (k - p,) + m, comb(k, p) * r)
-                             for s, m, p, r, _ in rows if p <= k]
-            partial = [(s + r, m + mk, a * b) for s, m, a in partial
-                       for r, mk, b in powers[k] if s + r <= level]
-        for s, m, a in partial:
-            by_t[s][m] = a
-    return [MultiPoly._reduced(jet_vars, t, g.den) for t in by_t if t]
+        partial = [(0, (), c, "")]
+        for j, k in enumerate(e):
+            if (j, k) not in blocks:
+                names = jet_vars[j * (level + 1):(j + 1) * (level + 1)]
+                blocks[j, k] = [(s, mk := (k - p,) + m, comb(k, p) * r,
+                                 _factors(names, mk))
+                                for s, m, p, r, _ in rows if p <= k]
+            partial = [(s + r, m + mk, a * b, x + y) for s, m, a, x in partial
+                       for r, mk, b, y in blocks[j, k] if s + r <= level]
+        d = sum(e)
+        for s, m, a, x in partial:
+            by_t[s].append((d, m, a, x[1:]))
+    slices = []
+    for terms in filter(None, by_t):
+        terms.sort(reverse=True)  # graded lexicographic, as _poly_text
+        _, exps, nums, monos = zip(*terms)
+        p = MultiPoly._reduced(jet_vars, dict(zip(exps, nums)), g.den)
+        p._set(_text=_signed_sum(list(p._num.values()), monos,
+                                 map(bool, monos), p.den))
+        slices.append(p)
+    return slices
 
 
 def satisfies_jet_equations(equations: PolySystem, jet_values) -> bool:

@@ -1,6 +1,9 @@
 """Truncated series, arc jets, composition, orders along arcs."""
 
+import copy
+import pickle
 import random
+import sys
 from fractions import Fraction
 from operator import add
 
@@ -13,7 +16,8 @@ from arcmeasure import (ArcJet, ArityMismatch, IndeterminateAtCap,
                         compose, jacobian_matrix_order, jet_equations,
                         jet_variable_names, matrix_entry_orders,
                         min_series_order, ord_jac_along, parse_poly,
-                        render_trunc, satisfies_jet_equations, series_order)
+                        render_poly, render_trunc, satisfies_jet_equations,
+                        series_order)
 
 XY = ("x", "y")
 
@@ -423,6 +427,64 @@ def test_jet_equations_evaluate_to_the_composition(case, data):
             assert len(weights) == 1
             got[weights.pop()] = eq.evaluate(values)
         assert got == list(compose(g, arc).coeffs)
+
+
+@st.composite
+def printed_jet_systems(draw):
+    """1-3 variables and 1-3 rational generators, among them constants,
+    zeros and a repeat of the first, and a level 0-6."""
+    n = draw(st.integers(1, 3))
+    variables = ("x", "y", "z")[:n]
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), RATIONALS,
+                            max_size=4).map(lambda t: MultiPoly(variables, t))
+    constants = RATIONALS.map(lambda c: MultiPoly(variables, {(0,) * n: c}))
+    generators = draw(st.lists(st.one_of(polys, constants),
+                               min_size=1, max_size=3))
+    if len(generators) > 1 and draw(st.booleans()):
+        generators[-1] = generators[0]
+    return PolySystem(variables, generators), draw(st.integers(0, 6))
+
+
+@given(printed_jet_systems())
+@settings(max_examples=100, deadline=None)
+def test_jet_equations_print_their_generic_text(case):
+    # the text stored with each equation is the text of its terms
+    for g in jet_equations(*case):
+        assert g._text is not None
+        text = render_poly(g)
+        assert text == render_poly(MultiPoly(g.variables, g.terms))
+        assert parse_poly(text, g.variables) == g
+
+
+def test_stored_text_stays_out_of_value_semantics():
+    system = PolySystem(XY, [P("1/2*y^2 - x^3 + 3"), P("-4/3*x*y")])
+    for g in jet_equations(system, 3):
+        twin = parse_poly(render_poly(g), g.variables)
+        assert twin._text is None
+        assert g == twin and hash(g) == hash(twin)
+        assert PolySystem(g.variables, [g, twin]).generators == (g,)
+        for how in (copy.copy, copy.deepcopy,
+                    lambda v: pickle.loads(pickle.dumps(v))):
+            assert repr(how(g)) == repr(g) and how(g)._text == g._text
+        # what is built from g prints from its own terms
+        for derived, plain in [(-g, -twin), (g + 0, twin + 0),
+                               (g * 1, twin * 1), (g.diff(0), twin.diff(0))]:
+            assert derived._text is None
+            assert render_poly(derived) == render_poly(plain)
+
+
+def test_jet_text_prints_every_digit_under_the_lowest_limit():
+    n, m = 10 ** 699 + 7, 3 * 10 ** 699 + 1  # 700 digits, past 640
+    system = PolySystem(XY, [MultiPoly(XY, {(n, 0): 1, (0, 1): -m})])
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        texts = [render_poly(g) for g in jet_equations(system, 1)]
+        sys.set_int_max_str_digits(0)  # to spell out the expected digits
+        assert texts == [f"a_0^{n} - {m}*b_0",
+                         f"{n}*a_0^{n - 1}*a_1 - {m}*b_1"]
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # ---------------------------------------------------------------------------
