@@ -2,7 +2,10 @@
 
 Problems arrive as JSON files with a ``schema`` version, a ``kind`` and
 a payload; results go to stdout in a canonical text or JSON form that
-is byte-stable across runs.  Exit codes: 0 for a conclusive result, 2
+is byte-stable across runs.  A run loads, then computes: ``_KINDS``
+names each kind's handler and payload fields, every field is read and
+checked in that order before any work starts, and the handler only
+computes from the read values.  Exit codes: 0 for a conclusive result, 2
 for malformed input (a usage error, or a message that starts with the
 offending field's path), 3 for a divergent integral, 4 for an
 inconclusive report, 5 when a literal measure's floor cannot settle a
@@ -20,31 +23,15 @@ from math import lcm
 from .analysis import (Conclusion, inverse_mapping_report,
                        measure_comparison_report)
 from .grothendieck import (_MAX_DIGITS, _NAME, _SAFE_DIGITS, DEFAULT_FLOOR,
-                           NEG_INF, ParseError, PrecisionExhausted,
-                           _all_digits, _int, parse_motive, render,
-                           virtual_dim)
+                           NEG_INF, MotiveSeries, ParseError,
+                           PrecisionExhausted, _all_digits, _int,
+                           parse_motive, render, virtual_dim)
 from .measure import (DivergentExponent, ResolutionData, ResolutionDiagram,
                       SchemaError, _get, _int_list, _parsed,
                       compare_germ_measures, germ_measure, motivic_integral)
 
 SCHEMA_VERSION = 1
 DEFAULT_CAP = 12
-
-
-class LiteralLimit(PrecisionExhausted):
-    """Precision exhausted at the floor of an operand given as a literal.
-
-    ``operands`` lists ``(path, value)`` per measure operand.  Measures
-    computed from resolutions compare exactly, so the literal with the
-    highest floor is the limit, and a deeper ``--floor`` cannot help.
-    """
-
-    def __init__(self, exc, operands):
-        super().__init__(str(exc))
-        self.path, value = max(
-            (op for op in operands if op[1].closed_form is None),
-            key=lambda op: op[1].floor)
-        self.floor = value.floor
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -89,63 +76,110 @@ def _rationals(row, path):
     return [_rational(v, f"{path}[{j}]") for j, v in enumerate(row)]
 
 
-def _variables(payload, path):
-    names = _get(payload, path, "variables", list, "a list of names")
-    if not names:
-        raise SchemaError(f"{path}.variables", "must be nonempty")
+# ---------------------------------------------------------------------------
+# field readers: reader(payload, key, inputs, cap) returns payload[key]
+# checked and parsed; ``inputs`` holds the fields read before it
+
+def _variables(payload, key, *_):
+    names = _get(payload, "payload", key, list, "a list of names", "nonempty")
     for i, v in enumerate(names):
         if not isinstance(v, str) or not _NAME.fullmatch(v):
-            raise SchemaError(f"{path}.variables[{i}]", "expected a name")
+            raise SchemaError(f"payload.{key}[{i}]", "expected a name")
     if len(set(names)) != len(names):
-        raise SchemaError(f"{path}.variables", "names must be distinct")
+        raise SchemaError(f"payload.{key}", "names must be distinct")
     return tuple(names)
 
 
-def _resolution(obj, path, key="resolution", cls=ResolutionData):
+def _level(payload, key, *_):
+    return _get(payload, "payload", key, int, "an integer", "nonnegative")
+
+
+def _generators(payload, key, inputs, _cap):
+    from .polynomials import parse_poly
+    field = _get(payload, "payload", key, list, "a list", "nonempty")
+    _level(payload, "level")  # a bad level is named before a bad generator
+    gens = []
+    for i, g in enumerate(field):
+        if not isinstance(g, str):
+            raise SchemaError(f"payload.{key}[{i}]", "expected a string")
+        gens.append(_parsed(f"payload.{key}[{i}]", parse_poly, g,
+                            inputs["variables"]))
+    return gens
+
+
+def _polynomial(payload, key, inputs, _cap):
+    from .polynomials import parse_poly
+    text = _get(payload, "payload", key, str, "a polynomial string")
+    return _parsed(f"payload.{key}", parse_poly, text, inputs["variables"])
+
+
+def _arc(payload, key, inputs, cap):
+    """The arc rows, each over one denominator, padded to ``cap + 1``."""
+    from .series import ArcJet, TruncSeries
+    field = _get(payload, "payload", key, list, "a list of rows")
+    n = len(inputs["variables"])
+    if len(field) != n:
+        raise SchemaError(f"payload.{key}", f"expected {n} component rows")
+    components = []
+    for i, row in enumerate(field):
+        path = f"payload.{key}[{i}]"
+        if not isinstance(row, list):
+            raise SchemaError(path, "expected a list")
+        if len(row) > cap + 1:
+            raise SchemaError(path,
+                              f"more than cap+1 = {cap + 1} coefficients")
+        pairs = _rationals(row, path)
+        den = lcm(*[q for _, q in pairs])  # each row over one lcm
+        nums = [p * (den // q) for p, q in pairs] + [0] * (cap + 1 - len(row))
+        components.append(TruncSeries._reduced(nums, den))
+    return ArcJet(components)
+
+
+def _resolution_data(obj, key, *_, path="payload"):
+    cls = ResolutionDiagram if key == "diagram" else ResolutionData
     return cls.from_json(_get(obj, path, key, dict, "an object"),
                          f"{path}.{key}")
 
 
-def _measure_spec(payload, key):
-    """The germ measure operand ``payload[key]``: the series a canonical
-    string gives, or the resolution data to measure."""
+def _alpha(payload, key, inputs, _cap):
+    strata = inputs["resolution"].strata
+    field = _get(payload, "payload", key, list, "a list")
+    if len(field) != len(strata):
+        raise SchemaError(f"payload.{key}", f"expected {len(strata)} vectors")
+    for i, (row, stratum) in enumerate(zip(field, strata)):
+        path = f"payload.{key}[{i}]"
+        if len(_int_list(row, path)) != len(stratum.index_set):
+            raise SchemaError(path, "length does not match the index set")
+    return field
+
+
+def _measure(payload, key, *_):
+    """A measure operand: a literal series, or resolution data."""
     spec = _get(payload, "payload", key, object, "a spec")
     path = f"payload.{key}"
     if isinstance(spec, str):
         return _parsed(path, parse_motive, spec)
     if isinstance(spec, dict) and "resolution" in spec:
-        return _resolution(spec, path)
+        return _resolution_data(spec, "resolution", path=path)
     raise SchemaError(path, "expected a measure string or a resolution")
 
 
-def _measures(payload, keys, floor):
-    """The germ measures ``payload[key]``, computed once all are read."""
-    specs = [_measure_spec(payload, key) for key in keys]
-    return [germ_measure(spec, floor) if isinstance(spec, ResolutionData)
-            else spec for spec in specs]
+_READERS = {
+    "variables": _variables, "generators": _generators, "level": _level,
+    "f": _polynomial, "arc": _arc, "resolution": _resolution_data,
+    "diagram": _resolution_data, "alpha": _alpha,
+    **dict.fromkeys(("left", "right", "mu_x", "mu_y"), _measure),
+}
 
 
 # ---------------------------------------------------------------------------
-# kind handlers: return (exit_code, text_str, json_obj)
+# kind handlers: take the read fields and the options, only compute, and
+# return (exit_code, text_str, json_obj)
 
-def _run_jets(payload, options):
-    from .polynomials import PolySystem, parse_poly, render_poly
+def _run_jets(variables, generators, level, **_):
+    from .polynomials import PolySystem, render_poly
     from .series import jet_equations
-    variables = _variables(payload, "payload")
-    gens_field = _get(payload, "payload", "generators", list, "a list")
-    if not gens_field:
-        raise SchemaError("payload.generators", "must be nonempty")
-    level = _get(payload, "payload", "level", int, "an integer")
-    if level < 0:
-        raise SchemaError("payload.level", "must be nonnegative")
-    gens = []
-    for i, g in enumerate(gens_field):
-        if not isinstance(g, str):
-            raise SchemaError(f"payload.generators[{i}]", "expected a string")
-        gens.append(_parsed(f"payload.generators[{i}]", parse_poly, g,
-                            variables))
-    system = PolySystem(variables, gens)
-    jets = jet_equations(system, level)
+    jets = jet_equations(PolySystem(variables, generators), level)
     rendered = sorted(render_poly(g) for g in jets)
     return 0, "\n".join(rendered) if rendered else "0", {
         "equations": rendered,
@@ -153,12 +187,9 @@ def _run_jets(payload, options):
     }
 
 
-def _run_hx(payload, options):
+def _run_hx(variables, f, **_):
     from .polynomials import (ConstantInput, hypersurface_singular_ideal,
-                              parse_poly, render_poly)
-    variables = _variables(payload, "payload")
-    f_text = _get(payload, "payload", "f", str, "a polynomial string")
-    f = _parsed("payload.f", parse_poly, f_text, variables)
+                              render_poly)
     try:
         system = hypersurface_singular_ideal(f)
     except ConstantInput as exc:
@@ -170,30 +201,9 @@ def _run_hx(payload, options):
     }
 
 
-def _run_compose(payload, options):
-    from .polynomials import parse_poly
-    from .series import ArcJet, TruncSeries, compose, render_trunc
-    variables = _variables(payload, "payload")
-    f_text = _get(payload, "payload", "f", str, "a polynomial string")
-    f = _parsed("payload.f", parse_poly, f_text, variables)
-    arc_field = _get(payload, "payload", "arc", list, "a list of rows")
-    if len(arc_field) != len(variables):
-        raise SchemaError("payload.arc",
-                          f"expected {len(variables)} component rows")
-    cap = options["cap"]
-    components = []
-    for i, row in enumerate(arc_field):
-        if not isinstance(row, list):
-            raise SchemaError(f"payload.arc[{i}]", "expected a list")
-        if len(row) > cap + 1:
-            raise SchemaError(f"payload.arc[{i}]",
-                              f"more than cap+1 = {cap + 1} coefficients")
-        pairs = _rationals(row, f"payload.arc[{i}]")
-        den = lcm(*[q for _, q in pairs])  # each row over one lcm
-        nums = [p * (den // q) for p, q in pairs] + [0] * (cap + 1 - len(row))
-        components.append(TruncSeries._reduced(nums, den))
-    result = compose(f, ArcJet(components))
-    text = render_trunc(result)
+def _run_compose(f, arc, cap, **_):
+    from .series import compose, render_trunc
+    text = render_trunc(compose(f, arc))
     return 0, text, {"series": text, "cap": cap}
 
 
@@ -203,52 +213,34 @@ def _series_result(series):
     return 0, text, {"measure": text, "dim": None if dim == NEG_INF else dim}
 
 
-def _run_measure(payload, options):
-    data = _resolution(payload, "payload")
-    return _series_result(germ_measure(data, options["floor"]))
+def _run_measure(resolution, floor, **_):
+    return _series_result(germ_measure(resolution, floor))
 
 
-def _run_integrate(payload, options):
-    data = _resolution(payload, "payload")
-    alpha_field = _get(payload, "payload", "alpha", list, "a list")
-    if len(alpha_field) != len(data.strata):
-        raise SchemaError("payload.alpha",
-                          f"expected {len(data.strata)} vectors")
-    alpha = []
-    for i, row in enumerate(alpha_field):
-        vec = _int_list(row, f"payload.alpha[{i}]")
-        if len(vec) != len(data.strata[i].index_set):
-            raise SchemaError(f"payload.alpha[{i}]",
-                              "length does not match the index set")
-        alpha.append(vec)
-    return _series_result(motivic_integral(data, alpha, options["floor"]))
+def _run_integrate(resolution, alpha, floor, **_):
+    return _series_result(motivic_integral(resolution, alpha, floor))
 
 
-def _run_compare(payload, options):
-    left, right = _measures(payload, ("left", "right"), options["floor"])
-    try:
-        order = compare_germ_measures(left, right)
-    except PrecisionExhausted as exc:
-        raise LiteralLimit(exc, [("payload.left", left),
-                                 ("payload.right", right)])
+def _germ(spec, floor):  # a literal as read, resolution data measured
+    return (spec if isinstance(spec, MotiveSeries)
+            else germ_measure(spec, floor))
+
+
+def _run_compare(left, right, floor, **_):
+    left, right = _germ(left, floor), _germ(right, floor)
+    order = compare_germ_measures(left, right)
     return 0, order, {"order": order, "left": left, "right": right}
 
 
-def _run_check_map(payload, options):
-    diagram = _resolution(payload, "payload", "diagram", ResolutionDiagram)
-    mu_x, mu_y = _measures(payload, ("mu_x", "mu_y"), options["floor"])
-    try:
-        inverse = inverse_mapping_report(diagram, mu_x, mu_y,
-                                         floor=options["floor"])
-        reports = {"inverse_mapping": inverse.to_json()}
-        conclusion = inverse.conclusion
-        if conclusion != Conclusion.INVERSE_ARC_ANALYTIC:
-            comparison = measure_comparison_report(diagram, mu_x, mu_y)
-            reports["measure_comparison"] = comparison.to_json()
-            conclusion = comparison.conclusion
-    except PrecisionExhausted as exc:
-        raise LiteralLimit(exc, [("payload.mu_x", mu_x),
-                                 ("payload.mu_y", mu_y)])
+def _run_check_map(diagram, mu_x, mu_y, floor, **_):
+    mu_x, mu_y = _germ(mu_x, floor), _germ(mu_y, floor)
+    inverse = inverse_mapping_report(diagram, mu_x, mu_y, floor=floor)
+    reports = {"inverse_mapping": inverse.to_json()}
+    conclusion = inverse.conclusion
+    if conclusion != Conclusion.INVERSE_ARC_ANALYTIC:
+        comparison = measure_comparison_report(diagram, mu_x, mu_y)
+        reports["measure_comparison"] = comparison.to_json()
+        conclusion = comparison.conclusion
     obj = {"conclusion": conclusion, "reports": reports}
     lines = [f"conclusion: {conclusion}"]
     for name, report in sorted(reports.items()):
@@ -259,16 +251,16 @@ def _run_check_map(payload, options):
     return code, "\n".join(lines), obj
 
 
-_HANDLERS = {
-    "jets": _run_jets,
-    "compose": _run_compose,
-    "hx": _run_hx,
-    "measure": _run_measure,
-    "integrate": _run_integrate,
-    "compare": _run_compare,
-    "check-map": _run_check_map,
+# each kind's handler and its payload fields, in the order they are read
+_KINDS = {
+    "jets": (_run_jets, ("variables", "generators", "level")),
+    "compose": (_run_compose, ("variables", "f", "arc")),
+    "hx": (_run_hx, ("variables", "f")),
+    "measure": (_run_measure, ("resolution",)),
+    "integrate": (_run_integrate, ("resolution", "alpha")),
+    "compare": (_run_compare, ("left", "right")),
+    "check-map": (_run_check_map, ("diagram", "mu_x", "mu_y")),
 }
-KINDS = tuple(_HANDLERS)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +296,10 @@ def _load_problem(path):
         raise SchemaError("problem.schema",
                           f"unsupported version {schema}, expected 1")
     kind = _get(doc, "problem", "kind", str, "a string")
-    if kind not in KINDS:
+    if kind not in _KINDS:
         raise SchemaError("problem.kind",
                           f"unknown kind {kind!r}, expected one of "
-                          + ", ".join(KINDS))
+                          + ", ".join(_KINDS))
     payload = _get(doc, "problem", "payload", dict, "an object")
     options = doc.get("options", {})
     if not isinstance(options, dict):
@@ -344,27 +336,34 @@ def main(argv=None) -> int:
 
 def _solve(args):
     """``(exit code, stdout text, stderr text)`` of the problem run."""
+    inputs = {}
     try:
         kind, payload, options = _load_problem(args.problem)
-        effective = {
-            "floor": args.floor if args.floor is not None
-            else options.get("floor", DEFAULT_FLOOR),
-            "cap": args.cap if args.cap is not None
-            else options.get("cap", DEFAULT_CAP),
-        }
-        if effective["cap"] < 0:
+        floor = (args.floor if args.floor is not None
+                 else options.get("floor", DEFAULT_FLOOR))
+        cap = (args.cap if args.cap is not None
+               else options.get("cap", DEFAULT_CAP))
+        if cap < 0:
             path = "--cap" if args.cap is not None else "problem.options.cap"
             raise SchemaError(path, "must be nonnegative")
-        code, text, obj = _HANDLERS[kind](payload, effective)
+        handler, fields = _KINDS[kind]
+        for key in fields:  # every field is read before any work starts
+            inputs[key] = _READERS[key](payload, key, inputs, cap)
+        code, text, obj = handler(**inputs, floor=floor, cap=cap)
     except SchemaError as exc:
         return 2, "", f"error: {exc}\n"
     except DivergentExponent as exc:
         return 3, "", f"error: divergent integral: {exc}\n"
-    except LiteralLimit as exc:
+    except PrecisionExhausted as exc:
+        # measures of resolutions are exact: the highest literal floor,
+        # the first one on a tie, is the limit
+        key = max((k for k, v in inputs.items()
+                   if isinstance(v, MotiveSeries)),
+                  key=lambda k: inputs[k].floor)
         return 5, "", (f"error: precision exhausted: {exc}\n"
-                       f"hint: {exc.path} is a literal known only above "
-                       f"O(u^{exc.floor}); a deeper --floor cannot help, "
-                       "give that operand more terms\n")
+                       f"hint: payload.{key} is a literal known only above "
+                       f"O(u^{inputs[key].floor}); a deeper --floor cannot "
+                       "help, give that operand more terms\n")
     if args.format == "json":
         text = _json_text({"schema": SCHEMA_VERSION, "kind": kind, **obj})
     return code, f"{text}\n", ""

@@ -194,7 +194,11 @@ def _legs(strata, *legs):
     return legs
 
 
-def _get(obj, path, key, typ, type_name):
+_RULES = {"nonempty": bool, "positive": lambda v: v > 0,
+          "nonnegative": lambda v: v >= 0}
+
+
+def _get(obj, path, key, typ, type_name, rule=None):
     if key not in obj:
         raise SchemaError(f"{path}.{key}", "missing required field")
     value = obj[key]
@@ -202,20 +206,20 @@ def _get(obj, path, key, typ, type_name):
         raise SchemaError(f"{path}.{key}", "expected an integer")
     if not isinstance(value, typ):
         raise SchemaError(f"{path}.{key}", f"expected {type_name}")
+    if rule and not _RULES[rule](value):
+        raise SchemaError(f"{path}.{key}", f"must be {rule}")
     return value
 
 
-def _int_list(value, path, allow_negative=True):
+def _int_list(value, path, rule=None):
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list of integers")
-    out = []
     for i, v in enumerate(value):
         if isinstance(v, bool) or not isinstance(v, int):
             raise SchemaError(f"{path}[{i}]", "expected an integer")
-        if not allow_negative and v < 0:
-            raise SchemaError(f"{path}[{i}]", "must be nonnegative")
-        out.append(v)
-    return out
+        if rule and not _RULES[rule](v):
+            raise SchemaError(f"{path}[{i}]", f"must be {rule}")
+    return value
 
 
 def _parsed(path, parse, *args):
@@ -233,12 +237,8 @@ def _resolution_from_json(cls, data, path, legs):
     a stratum that fails to build is reported against ``path`` itself.
     ``legs`` names the multiplicity fields each stratum entry carries.
     """
-    d = _get(data, path, "ambient_dim", int, "an integer")
-    if d < 1:
-        raise SchemaError(f"{path}.ambient_dim", "must be positive")
-    entries = _get(data, path, "strata", list, "a list")
-    if not entries:
-        raise SchemaError(f"{path}.strata", "must be nonempty")
+    d = _get(data, path, "ambient_dim", int, "an integer", "positive")
+    entries = _get(data, path, "strata", list, "a list", "nonempty")
     fields, mults = [], []
     for i, entry in enumerate(entries):
         p = f"{path}.strata[{i}]"
@@ -251,7 +251,7 @@ def _resolution_from_json(cls, data, path, legs):
                             _get(entry, p, "class", str, "a class string"))
         fields.append((name, index_set, cls_value))
         mults.append([_int_list(_get(entry, p, leg, list, "a list"),
-                                f"{p}.{leg}", allow_negative=False)
+                                f"{p}.{leg}", "nonnegative")
                       for leg in legs])
     try:
         strata = [SNCStratum(name, index_set, cls_value, d)

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import importlib
 import io
 import json
 import subprocess
@@ -939,7 +940,7 @@ def _resolution(**fields):
 
 # one malformed problem per rejection site: the stderr line names the
 # field's path, so a rewired check that loses its path fails here
-@pytest.mark.parametrize("doc, message", [
+MALFORMED = [
     (_compose([[0, True]], cap=1),
      "payload.arc[0][1]: expected an integer or 'p/q' string"),
     (_compose([[0, 0.5]], cap=1),
@@ -982,10 +983,105 @@ def _resolution(**fields):
      "payload.variables[0]: expected a name"),
     (_jets(variables=["x y"]), "payload.variables[0]: expected a name"),
     (_jets(variables=["x*y"]), "payload.variables[0]: expected a name"),
-])
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED)
 def test_malformed_problem_names_the_field(run, doc, message):
     code, out, err = run(doc)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# where each kind's work starts; the library's own check of a constant
+# ``f`` runs inside hypersurface_singular_ideal
+COMPUTE = ("arcmeasure.cli.germ_measure", "arcmeasure.cli.motivic_integral",
+           "arcmeasure.cli.compare_germ_measures",
+           "arcmeasure.cli.inverse_mapping_report",
+           "arcmeasure.series.jet_equations", "arcmeasure.series.compose",
+           "arcmeasure.polynomials.hypersurface_singular_ideal")
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """Names of the COMPUTE entry points called, in call order."""
+    calls = []
+    for target in COMPUTE:
+        module, name = target.rsplit(".", 1)
+        real = getattr(importlib.import_module(module), name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(target, spy)
+    return calls
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED)
+def test_no_kind_computes_before_every_field_is_read(run, computed, doc,
+                                                     message):
+    assert run(doc) == (2, "", f"error: {message}\n")
+    constant_f = message.startswith("payload.f: defining polynomial")
+    assert computed == (["hypersurface_singular_ideal"] if constant_f
+                        else [])
+
+
+@pytest.mark.parametrize("doc, entry", [
+    (_jets(), "jet_equations"),
+    (_compose([[0, 1]]), "compose"),
+    (problem("hx", {"variables": ["x"], "f": "x^2"}),
+     "hypersurface_singular_ideal"),
+    (_resolution(), "germ_measure"),
+    (problem("integrate", {"resolution": CUSP_RES, "alpha": [[1]]}),
+     "motivic_integral"),
+    (problem("compare", {"left": "u^-1", "right": "u^-2"}),
+     "compare_germ_measures"),
+    (problem("check-map", {"diagram": IDENT_DIAG, "mu_x": "u^-1",
+                           "mu_y": "u^-1"}), "inverse_mapping_report"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_every_kind_reaches_a_recorded_entry_point(run, computed, doc,
+                                                   entry):
+    # the spies see each kind's work, so an empty record above means
+    # that no work started
+    assert run(doc)[0] in (0, 4)
+    assert computed[0] == entry
+
+
+# two faults in one problem: the message names the one checked first
+@pytest.mark.parametrize("doc, message", [
+    (problem("jets", {"variables": ["x"], "generators": ["x", 3],
+                      "level": -1}),
+     "payload.level: must be nonnegative"),
+    (problem("jets", {"variables": ["x"], "level": -1}),
+     "payload.generators: missing required field"),
+    (_compose([[0.5]], cap=-1), "problem.options.cap: must be nonnegative"),
+    (problem("integrate", {"resolution": {**CUSP_RES, "ambient_dim": 0},
+                           "alpha": 5}),
+     "payload.resolution.ambient_dim: must be positive"),
+    (problem("check-map", {"diagram": {"ambient_dim": 1, "strata": []},
+                           "mu_x": 3, "mu_y": "u^-1"}),
+     "payload.diagram.strata: must be nonempty"),
+], ids=["jets-level", "jets-generators", "compose-cap", "integrate",
+        "check-map"])
+def test_first_checked_fault_is_named(run, doc, message):
+    assert run(doc) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("kind, first, second", [
+    ("compare", "left", "right"),
+    ("check-map", "mu_x", "mu_y"),
+])
+def test_literal_floor_tie_names_the_first_operand(run, fmt, kind, first,
+                                                   second):
+    payload = {first: "u^-1 + O(u^-8)", second: "u^-1 + O(u^-8)"}
+    if kind == "check-map":
+        payload["diagram"] = IDENT_DIAG
+    assert run(problem(kind, payload), "--format", fmt) == (
+        5, "", "error: precision exhausted: difference vanishes above "
+        "floor -8 without being provably zero\n"
+        f"hint: payload.{first} is a literal known only above O(u^-8); "
+        "a deeper --floor cannot help, give that operand more terms\n")
 
 
 @pytest.mark.parametrize("options", [{}, {"cap": 3}])
