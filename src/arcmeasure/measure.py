@@ -24,9 +24,12 @@ definition.
 
 from __future__ import annotations
 
-from .grothendieck import (ZERO, MotiveSeries, ParseError, _all_digits,
-                           _check_int, _expand_rational, _Frozen, leq_order,
-                           parse_motive, virtual_dim)
+from math import comb
+from operator import add
+
+from .grothendieck import (NEG_INF, ZERO, MotiveSeries, ParseError,
+                           _all_digits, _check_int, _expand_rational, _Frozen,
+                           _mul_terms, leq_order, parse_motive, virtual_dim)
 
 
 class BadContact(ValueError):
@@ -103,9 +106,11 @@ def contact_stratum_measure(stratum: SNCStratum, contacts) -> MotiveSeries:
             f"{len(stratum.index_set)} components")
     if any(e < 1 for e in contacts):
         raise BadContact("contact orders must be at least 1")
-    shift = -sum(contacts) - stratum.ambient_dim
-    factor = MotiveSeries({1: 1, 0: -1}) ** len(contacts)
-    return stratum.stratum_class * factor * MotiveSeries.monomial(shift)
+    r, shift = len(contacts), -sum(contacts) - stratum.ambient_dim
+    # (u-1)^r * u^shift, highest power first as the ring's product has it
+    row = {shift + r - i: (-1) ** i * comb(r, i) for i in range(r + 1)}
+    return MotiveSeries._new(
+        _mul_terms(stratum.stratum_class.terms, row, add), NEG_INF, None)
 
 
 def ord_jac_on_stratum(mults, contacts) -> int:

@@ -231,7 +231,11 @@ def jet_equations(system: PolySystem, level: int) -> PolySystem:
 
     Substituting ``x_j = sum_i a_{j,i} t^i`` into each generator and
     collecting powers of t up to ``t^level`` yields polynomials in the
-    jet coefficients; identically zero ones are dropped.
+    jet coefficients; identically zero ones are dropped.  Two generators
+    give equal equations only past ``t^0``, when their nonconstant parts
+    are equal (each term ``c*x^e``, ``e != 0``, adds its own monomials to
+    every ``t^s``; the constant reaches only ``t^0``): those equations
+    are kept once, from the first of the two.
 
         >>> from arcmeasure.polynomials import parse_poly, render_poly
         >>> cusp = parse_poly("y^2 - x^3", ("x", "y"))
@@ -244,10 +248,13 @@ def jet_equations(system: PolySystem, level: int) -> PolySystem:
     if _check_int(level, "level") < 0:
         raise ValueError("level must be nonnegative")
     jet_vars = jet_variable_names(len(system.variables), level)
-    equations = []
+    equations, seen = [], set()
     for g in system:
-        equations.extend(_all_digits(_jet_expansion, g, level, jet_vars))
-    return PolySystem(jet_vars, equations)
+        slices = _all_digits(_jet_expansion, g, level, jet_vars)
+        nonconstant = frozenset(t for t in g.terms.items() if any(t[0]))
+        equations.extend(slices[:1] if nonconstant in seen else slices)
+        seen.add(nonconstant)
+    return PolySystem._new(jet_vars, tuple(equations))
 
 
 def _jet_expansion(g: MultiPoly, level: int, jet_vars):
@@ -260,7 +267,9 @@ def _jet_expansion(g: MultiPoly, level: int, jet_vars):
     into ``p <= k`` parts, ``m_i`` of them equal to ``i``: the term
     ``comb(k, p) * p!/prod m_i! * a_0^(k-p) * prod a_i^m_i * t^s``.  A
     term ``c*x^e`` of ``g`` expands to one such block per variable,
-    concatenated while the power of t stays at most ``level``.  Distinct
+    concatenated through each block's rows cut once per budget
+    ``level - s``, so no product passes ``t^level``, and the last block
+    appends each finished term straight to its slice.  Distinct
     variables own disjoint jet variables and the block of ``x_j`` has
     total degree ``e_j``, so every combination is a distinct monomial:
     nothing is summed or cancelled.  The text of each block is built
@@ -278,29 +287,35 @@ def _jet_expansion(g: MultiPoly, level: int, jet_vars):
                  r * (p + 1) // (m[j - 1] + 1), j)
                 for s, m, p, r, top in last for j in range(top, level + 1 - s)]
         rows = rows + last
-    blocks = {}  # (variable, exponent) -> its terms, for this call only
+    blocks = {}  # (variable, exponent) -> per s, its rows up to level - s
     by_t = [[] for _ in range(level + 1)]
     for e, c in g._num.items():
         partial = [(0, (), c, "")]
         for j, k in enumerate(e):
             if (j, k) not in blocks:
                 names = jet_vars[j * (level + 1):(j + 1) * (level + 1)]
-                blocks[j, k] = [(s, mk := (k - p,) + m, comb(k, p) * r,
-                                 _factors(names, mk))
-                                for s, m, p, r, _ in rows if p <= k]
-            partial = [(s + r, m + mk, a * b, x + y) for s, m, a, x in partial
-                       for r, mk, b, y in blocks[j, k] if s + r <= level]
+                block = [(s, mk := (k - p,) + m, comb(k, p) * r,
+                          _factors(names, mk))
+                         for s, m, p, r, _ in rows if p <= k]
+                blocks[j, k] = [[row for row in block if row[0] <= level - s]
+                                for s in range(level + 1)]
+            cut = blocks[j, k]
+            if j < len(e) - 1:
+                partial = [(s + r, m + mk, a * b, x + y)
+                           for s, m, a, x in partial
+                           for r, mk, b, y in cut[s]]
         d = sum(e)
         for s, m, a, x in partial:
-            by_t[s].append((d, m, a, x[1:]))
+            for r, mk, b, y in cut[s]:
+                by_t[s + r].append((d, m + mk, a * b, (x + y)[1:]))
     slices = []
     for terms in filter(None, by_t):
         terms.sort(reverse=True)  # graded lexicographic, as _poly_text
         _, exps, nums, monos = zip(*terms)
-        p = MultiPoly._reduced(jet_vars, dict(zip(exps, nums)), g.den)
-        p._set(_text=_signed_sum(list(p._num.values()), monos,
-                                 map(bool, monos), p.den))
-        slices.append(p)
+        h = gcd(g.den, *nums)  # lowest terms; _signed_sum reduces its own
+        num = dict(zip(exps, nums if h == 1 else [c // h for c in nums]))
+        slices.append(MultiPoly._new(jet_vars, num, g.den // h, _signed_sum(
+            nums, monos, map(bool, monos), g.den)))
     return slices
 
 

@@ -100,6 +100,15 @@ def test_jets_of_any_degree(run):
     assert (code, out, err) == (0, "a_0^18446744073709551616 - b_0\n", "")
 
 
+def test_jets_generators_sharing_a_nonconstant_part(run):
+    # x + 1 and x + 2 differ only at t^0: their t^1 and t^2 equations
+    # are both a_1 and a_2, and each prints once
+    code, out, err = run(problem("jets", {"variables": ["x"],
+                                          "generators": ["x + 1", "x + 2"],
+                                          "level": 2}))
+    assert (code, out, err) == (0, "a_0 + 1\na_0 + 2\na_1\na_2\n", "")
+
+
 HUGE_DEGREE_JETS = [
     "18446744073709551616*a_0^18446744073709551615*a_1 - b_1",
     "18446744073709551616*a_0^18446744073709551615*a_2 + "

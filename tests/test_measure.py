@@ -85,6 +85,22 @@ def test_contact_measure_brute_jet_count():
             == cls * mono(-(n + 1) * d)
 
 
+@given(st.dictionaries(st.integers(-6, 6), st.integers(-5, 5).filter(bool),
+                       min_size=1, max_size=4),
+       st.lists(st.integers(1, 9), max_size=4), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_contact_measure_is_the_ring_product(cls, contacts, extra):
+    # built from one binomial row, equal term for term, in the same order,
+    # to [S] * (u-1)^r * u^(-sum e - d) by the ring operators
+    d = max(1, len(contacts)) + extra
+    s = SNCStratum("s", tuple(range(len(contacts))), LaurentPoly(cls), d)
+    got = contact_stratum_measure(s, contacts)
+    want = (s.stratum_class * (mono(1) - 1) ** len(contacts)
+            * mono(-sum(contacts) - d))
+    assert got == want and got.is_exact()
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
 def test_contact_rejects_low_contact():
     s = SNCStratum("s", (0,), ONE, 1)
     with pytest.raises(BadContact):

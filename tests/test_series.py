@@ -274,6 +274,24 @@ def test_jet_equations_hyperplane_level_zero():
     assert {render_poly(g) for g in out} == {"a_0 - b_0"}
 
 
+@pytest.mark.parametrize("first, second, collapses", [
+    ("x + 1", "x + 1/2", True),
+    ("x + 1", "2*x + 1", False),
+    ("x + y^2 + 1", "x + y^2 - 3/4", True),
+    ("1/2*x + 1/2", "1/2*x + 1/3", True),  # x/2 over dens 2 and 6
+    ("x - y", "y - x", False),
+])
+def test_jet_equations_collapse_past_t0_on_equal_nonconstant_parts(
+        first, second, collapses):
+    # past t^0, two generators give equal equations exactly when their
+    # nonconstant parts agree; the first generator's equations stay
+    system = PolySystem(XY, [P(first), P(second)])
+    out = assert_matches_reference(system, 3).generators
+    one, two = (jet_equations(PolySystem(XY, [P(g)]), 3).generators
+                for g in (first, second))
+    assert out == one + (two[:1] if collapses else two)
+
+
 def test_jet_variable_names_past_alphabet():
     names = jet_variable_names(27, 0)
     assert names[0] == "a_0"
@@ -323,7 +341,9 @@ def exponent(draw, n, degree):
 @st.composite
 def jet_systems(draw, max_level=10):
     """1-3 variables, rational generators of degree 0 (constants), 1, 3,
-    4, 7 or 8, and a level."""
+    4, 7 or 8, and a level.  A second generator is sometimes the first
+    plus a rational constant, so that their equations past ``t^0``
+    coincide."""
     n = draw(st.integers(1, 3))
     variables = ("x", "y", "z")[:n]
     generators = []
@@ -334,6 +354,8 @@ def jet_systems(draw, max_level=10):
             e = draw(exponent(n, draw(st.integers(0, degree))))
             terms[e] = draw(RATIONALS)
         generators.append(MultiPoly(variables, terms))
+    if len(generators) == 2 and draw(st.booleans()):
+        generators[1] = generators[0] + draw(RATIONALS.filter(bool))
     return PolySystem(variables, generators), draw(st.integers(0, max_level))
 
 
