@@ -359,34 +359,37 @@ def _closed_form(a):
     return a.closed_form or (a.terms, ())
 
 
-def _times_denominator(n, ks):
-    """``n * prod(1 - u^-k for k in ks)`` for a term map ``n``."""
-    for k in ks:
-        n = _add_terms(n, {e - k: c for e, c in n.items()}, -1)
-    return n
+def _sum_closed(a, b, sign=1):
+    """``a + sign * b`` for closed forms ``(n, ks)``, ``sign`` 1 or -1:
+    each numerator takes the ``1 - u^-k`` that only the other's ks hold,
+    as multisets, and the sum's ks are ``a``'s, then ``b``'s excess."""
+    (na, ka), (nb, kb) = a, b
+    only_a, only_b = list(ka), list(kb)
+    for k in ka:
+        if k in only_b:  # a factor both hold
+            only_a.remove(k)
+            only_b.remove(k)
+    for k in only_a:
+        nb = _add_terms(nb, {e - k: c for e, c in nb.items()}, -1)
+    for k in only_b:
+        na = _add_terms(na, {e - k: c for e, c in na.items()}, -1)
+    return _add_terms(na, nb, sign), ka + tuple(only_b)
 
 
 def _expand_rational(parts, floor):
     """The sum of the closed forms ``parts``, known above ``floor``.
 
-    The parts are summed over one denominator, which holds each k at its
-    highest multiplicity in any part.  With no k at all the sum is exact;
-    otherwise :func:`_expand` fills its terms when they are first read.
+    Neighbours are summed pairwise by :func:`_sum_closed` in rounds, so
+    each k is held at its highest multiplicity in any part.  With no k
+    the sum is exact; else :func:`_expand` fills its terms on first read.
     """
-    ks = []
-    for _, part_ks in parts:
-        for k in part_ks:
-            if part_ks.count(k) > ks.count(k):
-                ks.append(k)
-    n = {}
-    for part_n, part_ks in parts:
-        missing = list(ks)
-        for k in part_ks:
-            missing.remove(k)
-        n = _add_terms(_times_denominator(part_n, missing), n)
-    if not ks:
-        return MotiveSeries._new(n, NEG_INF, None)
-    return MotiveSeries._new(None, floor, (n, tuple(ks)))
+    parts = list(parts) or [({}, ())]
+    while len(parts) > 1:
+        parts = ([_sum_closed(a, b) for a, b in zip(parts[::2], parts[1::2])]
+                 + parts[len(parts) // 2 * 2:])
+    n, ks = parts[0]
+    return (MotiveSeries._new(None, floor, (n, ks)) if ks
+            else MotiveSeries._new(n, NEG_INF, None))
 
 
 def _expand(n, ks, floor):
@@ -445,18 +448,15 @@ def leq_order(a, b) -> str:
     Returns ``Order.LESS`` when that coefficient is positive (so ``a``
     strictly precedes ``b``), ``Order.EQUAL`` when the difference is
     provably zero, ``Order.GREATER`` otherwise.  The sign is read off
-    the numerator of ``b - a`` over the product of the operands'
-    closed-form denominators.  That numerator is exact above the highest
-    floor of an operand without a closed form; if it vanishes above
-    that floor, :class:`PrecisionExhausted` is raised.  No work grows
-    with a floor.
+    the numerator of ``b - a`` over one denominator, each k at its higher
+    multiplicity (:func:`_sum_closed`), exact above the highest floor of an
+    operand without a closed form; if it vanishes there,
+    :class:`PrecisionExhausted` is raised.  No work grows with a floor.
     """
     sa, sb = _coerce_series(a), _coerce_series(b)
     if sa is None or sb is None:
         raise TypeError("leq_order expects ring elements")
-    (na, ka), (nb, kb) = _closed_form(sa), _closed_form(sb)
-    diff = _add_terms(_times_denominator(nb, ka),
-                      _times_denominator(na, kb), -1)
+    diff, _ = _sum_closed(_closed_form(sb), _closed_form(sa), -1)
     floor = max((s.floor for s in (sa, sb) if s.closed_form is None),
                 default=NEG_INF)
     top = max(diff, default=NEG_INF)
@@ -475,7 +475,7 @@ def geometric_sum(p: int, floor: int) -> MotiveSeries:
     Multiplying the result by ``1 - u^-p`` gives 1 modulo the floor; the
     series is the inverse of that factor at this precision.
     """
-    if not isinstance(p, int) or p < 1:
+    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise ValueError("p must be a positive int")
     if not isinstance(floor, int):
         raise ValueError("floor must be finite for a geometric sum")

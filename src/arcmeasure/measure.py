@@ -11,7 +11,7 @@ Summing the contributions over all contact vectors stratum by stratum
 gives a rational function of ``u``: with ``k_i = 1 + a_i + alpha_i``,
 a stratum contributes ``[S] u^-d prod_i (u-1) u^-k_i / (1 - u^-k_i)``
 (the rationality of motivic measures, Denef-Loeser 1999).
-:func:`motivic_integral` sums the strata over one common denominator
+:func:`motivic_integral` sums the strata pairwise, over one denominator,
 and keeps that exact rational function, so two resolutions of one germ
 compare ``Equal``.  The sum is expanded down to the floor, one pass of
 the recurrence ``c[j] += c[j-k]`` per denominator factor, only when its

@@ -5,6 +5,7 @@ import copy
 import importlib
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -463,6 +464,28 @@ def test_measure_json_format_reports_dimension(run):
     doc = json.loads(out)
     assert doc == {"schema": 1, "kind": "measure",
                    "measure": CUSP_MEASURE_M10, "dim": -2}
+
+
+def test_many_strata_sum_in_few_numerator_passes(run, monkeypatch):
+    # 40 one-component strata with distinct k in 100..999: summed over
+    # one denominator, every part took every factor it lacked (1,600
+    # passes); summed pairwise, a part takes only its partner's factors
+    import arcmeasure.grothendieck as grothendieck
+    ks = random.Random(0).sample(range(100, 1000), 40)
+    strata = [{"name": f"S{i}", "index_set": [i], "class": "1",
+               "p_mults": [k - 1]} for i, k in enumerate(ks)]
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return add_terms(*args)
+
+    add_terms = grothendieck._add_terms
+    monkeypatch.setattr(grothendieck, "_add_terms", counted)
+    code, out, err = run(problem("measure", {"resolution": {
+        "ambient_dim": 1, "strata": strata}}, floor=-20))
+    assert (code, out, err) == (0, "O(u^-20)\n", "")
+    assert len(calls) < 400
 
 
 def test_measure_blowup_plane(run):

@@ -231,6 +231,8 @@ def test_geometric_inverse_identity_sweep():
 def test_geometric_rejects_bad_p():
     with pytest.raises(ValueError):
         geometric_sum(0, -5)
+    with pytest.raises(ValueError, match="p must be a positive int"):
+        geometric_sum(True, -5)  # as every other int input, no bool
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +535,103 @@ def test_closed_forms_render_as_their_terms(limit, data):
         expected = naive_render(value)  # reads terms
     with int_digit_limit(limit):
         assert [text, render(value)] == [expected] * 2
+
+
+def times_factors(n, ks):
+    """``n * prod(1 - u^-k for k in ks)`` on plain dicts."""
+    for k in ks:
+        out = dict(n)
+        for e, c in n.items():
+            out[e - k] = out.get(e - k, 0) - c
+        n = {e: c for e, c in out.items() if c}
+    return n
+
+
+def plus(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def one_denominator_sum(parts, floor):
+    """The closed forms ``parts`` summed over one denominator that holds
+    each k at its highest multiplicity in any part, every part times the
+    factors it lacks: the reference for the pairwise sum."""
+    ks = []
+    for _, part_ks in parts:
+        for k in part_ks:
+            if part_ks.count(k) > ks.count(k):
+                ks.append(k)
+    n = {}
+    for part_n, part_ks in parts:
+        missing = list(ks)
+        for k in part_ks:
+            missing.remove(k)
+        n = plus(n, times_factors(part_n, missing))
+    if not ks:
+        return MotiveSeries(n)
+    return MotiveSeries._new(None, floor, (n, tuple(ks)))
+
+
+def cross_multiplied_order(a, b):
+    """The reference ``leq_order``: ``b - a`` over the product of both
+    denominators."""
+    (na, ka), (nb, kb) = [s.closed_form or (s.terms, ()) for s in (a, b)]
+    diff = plus(times_factors(nb, ka), times_factors(na, kb), -1)
+    floor = max((s.floor for s in (a, b) if s.closed_form is None),
+                default=NEG_INF)
+    top = max(diff, default=NEG_INF)
+    if top > floor:
+        return Order.LESS if diff[top] > 0 else Order.GREATER
+    if floor == NEG_INF:
+        return Order.EQUAL
+    raise PrecisionExhausted("reference")
+
+
+def verdict(order, a, b):
+    try:
+        return order(a, b)
+    except PrecisionExhausted:
+        return "exhausted"
+
+
+closed_parts = st.lists(st.tuples(
+    st.dictionaries(st.integers(-4, 3), st.integers(-9, 9).filter(bool),
+                    max_size=3),  # an empty map is a zero numerator
+    st.lists(st.integers(1, 4), max_size=3).map(tuple)),
+    min_size=1, max_size=9)
+
+
+@given(closed_parts, closed_parts, st.integers(-12, 5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_pairwise_sum_matches_one_denominator(parts, other_parts, floor,
+                                               data):
+    value = _expand_rational(parts, floor)
+    reference = one_denominator_sum(parts, floor)
+    if reference.closed_form is None:
+        assert value.closed_form is None
+        assert value == reference
+    else:
+        (n, ks), (ref_n, ref_ks) = value.closed_form, reference.closed_form
+        assert n == ref_n
+        assert sorted(ks) == sorted(ref_ks)  # their order may differ
+    assert render(value) == render(reference)
+    other = _expand_rational(other_parts, floor)
+    other_reference = one_denominator_sum(other_parts, floor)
+    # a literal: this sum's terms above a floor, or any terms
+    literal = data.draw(st.one_of(
+        st.integers(floor, floor + 6).map(
+            lambda f: value.with_floor(max(f, value.floor))),
+        st.builds(MotiveSeries, st.dictionaries(
+            st.integers(-4, 3), st.integers(-9, 9).filter(bool),
+            max_size=3), st.integers(-12, 5))))
+    for x, y, ref_x, ref_y in [(value, other, reference, other_reference),
+                               (other, value, other_reference, reference),
+                               (value, literal, reference, literal),
+                               (literal, value, literal, reference)]:
+        assert verdict(leq_order, x, y) == verdict(cross_multiplied_order,
+                                                   ref_x, ref_y)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
