@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import re
 import sys
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress
 from math import gcd
 from operator import add
 
 NEG_INF = float("-inf")
 DEFAULT_FLOOR = -16  # where a computed measure's printed tail stops
+_U_POWERS = [""]  # render's text of u^-j at index j, to the deepest floor
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -477,7 +478,7 @@ def geometric_sum(p: int, floor: int) -> MotiveSeries:
     """
     if isinstance(p, bool) or not isinstance(p, int) or p < 1:
         raise ValueError("p must be a positive int")
-    if not isinstance(floor, int):
+    if isinstance(floor, bool) or not isinstance(floor, int):
         raise ValueError("floor must be finite for a geometric sum")
     terms = {}
     e = 0
@@ -553,26 +554,32 @@ def _all_digits(fn, *args, **kwargs):
             sys.set_int_max_str_digits(limit)
 
 
-def _signed_sum(coeffs, names, exps, den=1) -> str:
-    """``c1*v1^e1 - c2*v2^e2 + ...``, the term rule of every canonical text.
+def _signed_sum(coeffs, monos, den=1) -> str:
+    """``c1*m1 - c2*m2 + ...``, the term rule of every canonical text.
 
     Coefficients are nonzero ints over one ``den``, in print order, and
-    print in lowest terms as ``p`` or ``p/q``; ``names`` and ``exps`` may
-    be iterators.  ``v^1`` prints as ``v`` and ``v^0`` as nothing.  A
-    magnitude 1 is left off a nonconstant term by dropping each `` 1*``;
-    only a magnitude follows a space, so nothing else reads `` 1*``.
+    print in lowest terms as ``p`` or ``p/q``; ``monos`` holds or yields
+    the monomial texts, ``""`` for a constant, none with a space.  Each
+    distinct coefficient's prefix, `` - 3/2*``, is formatted once.  A
+    constant's ``*``, the only one at the end or before a space, is
+    dropped; then so is each `` 1*``, a magnitude 1 before a monomial,
+    as only a magnitude follows a space.
     """
-    if den == 1:
-        xs = map(abs, coeffs)
-    else:
-        xs = [str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
-              for c, g in zip(coeffs, map(gcd, coeffs, repeat(den)))]
-    text = "".join([
-        (f" - {x}*{v}^{e}" if c < 0 else f" + {x}*{v}^{e}") if e < 0 or e > 1
-        else (f" - {x}*{v}" if c < 0 else f" + {x}*{v}") if e
-        else f" - {x}" if c < 0 else f" + {x}"
-        for c, x, v, e in zip(coeffs, xs, names, exps)]).replace(" 1*", " ")
+    prefix = {}
+    for c in set(coeffs):
+        g = gcd(c, den) if den > 1 else 1
+        x = abs(c) // g if g == den else f"{abs(c) // g}/{den // g}"
+        prefix[c] = f" - {x}*" if c < 0 else f" + {x}*"
+    parts = [""] * (2 * len(coeffs))
+    parts[::2], parts[1::2] = map(prefix.get, coeffs), monos
+    text = "".join(parts).removesuffix("*").replace("* ", " ")
+    text = text.replace(" 1*", " ")
     return f"-{text[3:]}" if text[1:2] == "-" else text[3:]
+
+
+def _powers(v, exps):
+    """The text of ``v^e`` per ``e``: ``""`` for 0, ``v`` for 1."""
+    return [f"{v}^{e}" if e < 0 or e > 1 else v if e else "" for e in exps]
 
 
 def render(a) -> str:
@@ -581,21 +588,31 @@ def render(a) -> str:
     ``u^-2 - u^-3 + O(u^-10)`` is a series with floor -10; an exact
     element has no O term and zero renders as ``0``.  A closed form
     prints from its dense expansion, any other value from ``terms``.
+    A dense expansion, whose exponents are as short as its length,
+    slices its ``u^-j`` texts from ``_U_POWERS``: a slice assignment
+    grows it to the deepest floor printed, putting ``u^-j`` at index
+    ``j`` whatever another thread added.  Other power texts are per call.
     """
     if not isinstance(a, MotiveSeries):
         raise TypeError(f"cannot render {type(a)!r}")
     if a.closed_form:
         exps, coeffs = _expand(*a.closed_form, a.floor)
+        n = len(_U_POWERS)
+        if coeffs and n < -a.floor:
+            _U_POWERS[n:-a.floor] = _powers("u", range(-n, a.floor, -1))
+        monos = (_powers("u", range(exps.start, max(a.floor, 0), -1))
+                 + _U_POWERS[max(-exps.start, 0):max(-a.floor, 0)])
     else:
         exps = sorted(a.terms, reverse=True)
         coeffs = list(map(a.terms.get, exps))
-    return _all_digits(_series_text, "u", coeffs, exps, a.floor)
+        monos = _all_digits(_powers, "u", exps)
+    return _all_digits(_series_text, "u", coeffs, monos, a.floor)
 
 
-def _series_text(name, coeffs, exps, floor, den=1):
-    """Each nonzero ``c/den*name^e`` of ``coeffs`` and ``exps``, O tail."""
-    body = _signed_sum(list(filter(None, coeffs)), repeat(name),
-                       compress(exps, coeffs), den)
+def _series_text(name, coeffs, monos, floor, den=1):
+    """Each nonzero ``c/den`` in ``coeffs`` by its ``monos`` text, O tail."""
+    body = _signed_sum(list(filter(None, coeffs)), compress(monos, coeffs),
+                       den)
     if floor == NEG_INF:
         return body or "0"
     tail = f"O({name}^{floor})"

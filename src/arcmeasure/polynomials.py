@@ -203,9 +203,7 @@ def _poly_text(p):
     terms = sorted(zip(map(sum, p._num), p._num, p._num.values()),
                    reverse=True)  # graded lexicographic, largest first
     monos = [_factors(p.variables, e)[1:] for _, e, _ in terms]
-    # each monomial is one factor to the power 1, the constant's to 0
-    return _signed_sum([c for _, _, c in terms], monos, map(bool, monos),
-                       p.den) or "0"
+    return _signed_sum([c for _, _, c in terms], monos, p.den) or "0"
 
 
 def parse_poly(text: str, variables) -> MultiPoly:

@@ -15,7 +15,7 @@ from math import comb, gcd, lcm, prod
 from operator import add
 
 from .grothendieck import (_all_digits, _check_int, _evaluate, _Frozen,
-                           _series_text, _signed_sum)
+                           _powers, _series_text, _signed_sum)
 from .polynomials import (ArityMismatch, MultiPoly, PolySystem, _coefficient,
                           _factors, _jacobian_ideal, _over_lcm, matrix_minors)
 
@@ -68,8 +68,8 @@ class TruncSeries(_Frozen):
 
 def render_trunc(s: TruncSeries) -> str:
     """Ascending powers of t, explicit cap: ``t^2 - t^3 + O(t^4)``."""
-    return _all_digits(_series_text, "t", s.nums, range(len(s.nums)),
-                       s.cap + 1, s.den)
+    return _all_digits(_series_text, "t", s.nums,
+                       _powers("t", range(len(s.nums))), s.cap + 1, s.den)
 
 
 class ArcJet(_Frozen):
@@ -314,8 +314,8 @@ def _jet_expansion(g: MultiPoly, level: int, jet_vars):
         _, exps, nums, monos = zip(*terms)
         h = gcd(g.den, *nums)  # lowest terms; _signed_sum reduces its own
         num = dict(zip(exps, nums if h == 1 else [c // h for c in nums]))
-        slices.append(MultiPoly._new(jet_vars, num, g.den // h, _signed_sum(
-            nums, monos, map(bool, monos), g.den)))
+        slices.append(MultiPoly._new(jet_vars, num, g.den // h,
+                                     _signed_sum(nums, monos, g.den)))
     return slices
 
 

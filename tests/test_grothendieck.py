@@ -1,7 +1,10 @@
 """Ring layer: exact Laurent arithmetic, precision floors, the order."""
 
+import os
 import random
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -15,7 +18,8 @@ from arcmeasure import (NEG_INF, ONE, U, ZERO, ArcJet, ArityMismatch,
                         TruncSeries, geometric_sum, jet_equations, leq_order,
                         limit_of_sequence, parse_motive, parse_poly, render,
                         render_poly, render_trunc, virtual_dim)
-from arcmeasure.grothendieck import _all_digits, _expand_rational
+from arcmeasure.grothendieck import (_U_POWERS, _all_digits, _expand_rational,
+                                     _signed_sum)
 
 from descriptors import (InsufficientApproximants, MeasurableDescriptor,
                          measure_measurable)
@@ -233,6 +237,9 @@ def test_geometric_rejects_bad_p():
         geometric_sum(0, -5)
     with pytest.raises(ValueError, match="p must be a positive int"):
         geometric_sum(True, -5)  # as every other int input, no bool
+    for floor in (True, 1.5, None):
+        with pytest.raises(ValueError, match="floor must be finite"):
+            geometric_sum(1, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +542,135 @@ def test_closed_forms_render_as_their_terms(limit, data):
         expected = naive_render(value)  # reads terms
     with int_digit_limit(limit):
         assert [text, render(value)] == [expected] * 2
+
+
+def deep_closed_forms(huge):
+    """Closed forms at floors down to -400 with tops up to 3: half of
+    them periodic, a numerator times all but the first of its factors
+    ``1 - u^-k``, so their coefficients repeat, and 700-digit numerator
+    coefficients when ``huge``."""
+    ints = st.one_of(st.sampled_from([1, -1]), st.integers(-99, 99),
+                     *[HUGE, HUGE.map(int.__neg__)] * huge).filter(bool)
+    numerators = st.dictionaries(st.integers(-4, 3), ints, max_size=4)
+    ks = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple)
+    periodic = st.tuples(numerators, ks).map(
+        lambda p: (times_factors(p[0], p[1][1:]), p[1]))
+    parts = st.lists(st.one_of(periodic, st.tuples(numerators, ks)),
+                     min_size=1, max_size=2)
+    return st.builds(_expand_rational, parts, st.integers(-400, 5))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int digit limit")
+@pytest.mark.parametrize("limit", [4300, 640])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_deep_closed_forms_render_as_their_terms(limit, data):
+    # from an empty power table, so that the draws grow it and then
+    # read it back at shallower and deeper floors in any order
+    del _U_POWERS[1:]
+    values = data.draw(st.lists(deep_closed_forms(huge=limit == 640),
+                                min_size=3, max_size=5))
+    with int_digit_limit(limit):
+        texts = [render(v) for v in values]
+    with int_digit_limit(0):
+        expected = [naive_render(v) for v in values]
+    assert texts == expected
+
+
+def test_power_table_holds_the_deepest_floor_alone():
+    del _U_POWERS[1:]
+    deep, shallow = [_expand_rational([({0: 1, -1: -1}, (2,))], floor)
+                     for floor in (-3200, -16)]
+    assert render(deep).endswith(" + u^-3198 - u^-3199 + O(u^-3200)")
+    assert len(_U_POWERS) == 3200  # u^0 .. u^-3199
+    for _ in range(3):
+        assert render(shallow) == naive_render(shallow)
+        assert render(deep) == naive_render(deep)
+    assert len(_U_POWERS) == 3200
+
+
+def test_power_table_stays_right_under_threads():
+    # more threads than cores, released together, and a short switch
+    # interval, so that renders grow the table interleaved; each index
+    # must still hold its own power's text
+    floors = [-100 * (i % 5 + 1) for i in range(2 * (os.cpu_count() or 1) + 4)]
+    values = [_expand_rational([({0: 1, -1: -1}, (2,))], f) for f in floors]
+    expected = [naive_render(v) for v in values]
+    start = threading.Barrier(len(values))
+
+    def render_together(value):
+        start.wait(timeout=60)
+        return render(value)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            del _U_POWERS[1:]
+            with ThreadPoolExecutor(len(values)) as pool:
+                texts = list(pool.map(render_together, values, timeout=60))
+            assert texts == expected
+            assert _U_POWERS == [""] + [f"u^-{j}" for j in range(1, 500)]
+    finally:
+        sys.setswitchinterval(old)
+
+
+# (coefficient, [(name, power), ...]) terms and a denominator, for the
+# term rule alone: constants first, in the middle and last, magnitude 1
+# of both signs, and a coefficient with its negative over one den
+SIGNED_SUMS = [
+    ([(5, []), (-1, [("x", 1)]), (1, [("x", 2), ("y", 1)])], 1),
+    ([(-1, []), (1, [("x", 1)])], 1),
+    ([(1, []), (-1, [("u", -2)])], 1),
+    ([(-3, [("u", 4)]), (1, []), (-1, [("u", -1)])], 1),
+    ([(2, [("x", 1)]), (-1, []), (1, [("y", 3)])], 1),
+    ([(-1, [("x", 1)]), (1, [("y", 1)]), (-1, [])], 1),
+    ([(1, [("x", 1)]), (-2, [("y", 1)]), (1, [])], 1),
+    ([(3, [("x", 2)]), (-3, [("x", 1)]), (6, [("y", 1)]), (-6, []),
+      (2, [])], 6),
+    ([(-4, []), (4, [("x", 1)]), (1, [("y", 1)]), (-1, [("x", 1)])], 4),
+    ([(7, [("x", 1)]), (-7, []), (14, [("y", 1)])], 7),
+]
+
+
+def mono_text(factors):
+    return "*".join(v if k == 1 else f"{v}^{k}" for v, k in factors if k)
+
+
+def check_signed_sum(terms, den, limit):
+    coeffs = [c for c, _ in terms]
+    monos = [mono_text(f) for _, f in terms]
+    with int_digit_limit(0):
+        expected = naive_sum([(Fraction(c, den), f) for c, f in terms])
+    with int_digit_limit(limit):
+        assert _all_digits(_signed_sum, coeffs, monos, den) == expected
+        assert _all_digits(_signed_sum, coeffs, iter(monos), den) == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int digit limit")
+@pytest.mark.parametrize("limit", [4300, 640])
+@pytest.mark.parametrize("terms, den", SIGNED_SUMS)
+def test_signed_sum_examples(terms, den, limit):
+    check_signed_sum(terms, den, limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int digit limit")
+@pytest.mark.parametrize("limit", [4300, 640])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_signed_sum_matches_the_naive_renderer(limit, data):
+    # few distinct coefficients and monomials, so both repeat
+    pool = [1, -1, 2, -2, 3, 12, -21] + [10 ** 699, -(10 ** 699)] * (
+        limit == 640)
+    den = data.draw(st.sampled_from([1, 1, 2, 3, 6]))
+    factors = st.sampled_from([[], [("x", 1)], [("x", 2), ("y", 1)],
+                               [("u", -3)], [("y", 1)], [("t", 10)]])
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(pool), factors),
+                               min_size=1, max_size=8))
+    check_signed_sum(terms, den, limit)
 
 
 def times_factors(n, ks):
