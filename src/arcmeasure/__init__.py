@@ -8,8 +8,8 @@ for maps presented by a double resolution diagram.
 
 Each public name below is imported from its submodule on first use, and
 every submodule serves the command line.  It imports ``grothendieck``,
-``measure`` and ``analysis``; only its ``jets``, ``hx`` and ``compose``
-kinds add ``polynomials`` and ``series``.
+``measure`` and ``analysis``; only its ``jets`` and ``compose`` kinds add
+``polynomials`` and ``series``, and its ``hx`` kind ``polynomials`` alone.
 """
 
 import importlib

@@ -10,9 +10,11 @@ reported as a lower bound, never silently truncated.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from operator import add
+from operator import add, itemgetter
+from threading import Lock
 
 from .grothendieck import (_all_digits, _check_int, _evaluate, _Frozen,
                            _powers, _series_text, _signed_sum)
@@ -260,50 +262,26 @@ def jet_equations(system: PolySystem, level: int) -> PolySystem:
 def _jet_expansion(g: MultiPoly, level: int, jet_vars):
     """Nonzero coefficients of ``t^0 .. t^level`` in ``g(sum_i a_{j,i} t^i)``.
 
-    The expansion runs over the ints of ``g`` over its denominator, and
-    each slice is brought to lowest terms by one gcd.  By the multinomial
-    theorem, ``(a_0 + a_1 t + ... + a_level t^level)^k`` below
-    ``t^(level+1)`` is a sum over the partitions of each ``s <= level``
-    into ``p <= k`` parts, ``m_i`` of them equal to ``i``: the term
-    ``comb(k, p) * p!/prod m_i! * a_0^(k-p) * prod a_i^m_i * t^s``.  A
-    term ``c*x^e`` of ``g`` expands to one such block per variable,
-    concatenated through each block's rows cut once per budget
-    ``level - s``, so no product passes ``t^level``, and the last block
-    appends each finished term straight to its slice.  Distinct
-    variables own disjoint jet variables and the block of ``x_j`` has
-    total degree ``e_j``, so every combination is a distinct monomial:
-    nothing is summed or cancelled.  The text of each block is built
-    once, a monomial's text is joined from its blocks' texts, and each
-    slice stores the text that ``render_poly`` prints.
+    A term ``c*x^e`` of ``g``, ``c`` an int over ``g``'s denominator,
+    joins the blocks of its variables' powers by their rows cut to the
+    budget left, so no product passes ``t^level``.  Distinct variables
+    own disjoint jet variables and the block of ``x_j`` has total degree
+    ``e_j``, so every combination is a distinct monomial: nothing is
+    summed or cancelled.  Each block and its text is built once per
+    process, in a bounded table, and looked up once per ``g``; a
+    monomial's text joins its blocks' texts, and each slice stores the
+    text that ``render_poly`` prints.
     """
-    # partitions (s, (m_1 .. m_level), p, p!/prod m_i!, largest part),
-    # one round per p <= level whatever the degree.  Adding parts in
-    # nondecreasing order lists each once and keeps a round in descending
-    # order of m, so each term of g fills its slices in descending runs
-    # that one sort per slice merges
-    rows = last = [(0, (0,) * level, 0, 1, 1)]
-    for _ in range(min(level, max(map(max, g._num)))):
-        last = [(s + j, m[:j - 1] + (m[j - 1] + 1,) + m[j:], p + 1,
-                 r * (p + 1) // (m[j - 1] + 1), j)
-                for s, m, p, r, top in last for j in range(top, level + 1 - s)]
-        rows = rows + last
-    blocks = {}  # (variable, exponent) -> per s, its rows up to level - s
+    step = level + 1  # the jet names a_0 .. a_level of each variable
+    blocks = {(j, k): _block(jet_vars[j * step:(j + 1) * step], k)
+              for j, k in {jk for e in g._num for jk in enumerate(e)}}
     by_t = [[] for _ in range(level + 1)]
     for e, c in g._num.items():
         partial = [(0, (), c, "")]
-        for j, k in enumerate(e):
-            if (j, k) not in blocks:
-                names = jet_vars[j * (level + 1):(j + 1) * (level + 1)]
-                block = [(s, mk := (k - p,) + m, comb(k, p) * r,
-                          _factors(names, mk))
-                         for s, m, p, r, _ in rows if p <= k]
-                blocks[j, k] = [[row for row in block if row[0] <= level - s]
-                                for s in range(level + 1)]
-            cut = blocks[j, k]
-            if j < len(e) - 1:
-                partial = [(s + r, m + mk, a * b, x + y)
-                           for s, m, a, x in partial
-                           for r, mk, b, y in cut[s]]
+        *front, cut = map(blocks.__getitem__, enumerate(e))
+        for block in front:
+            partial = [(s + r, m + mk, a * b, x + y)
+                       for s, m, a, x in partial for r, mk, b, y in block[s]]
         d = sum(e)
         for s, m, a, x in partial:
             for r, mk, b, y in cut[s]:
@@ -317,6 +295,54 @@ def _jet_expansion(g: MultiPoly, level: int, jet_vars):
         slices.append(MultiPoly._new(jet_vars, num, g.den // h,
                                      _signed_sum(nums, monos, g.den)))
     return slices
+
+
+# (names, k) -> (_block(names, k), its weight), oldest first.  A row of
+# jet level L weighs L + 9, and a unit of weight takes 12-52 bytes
+# (tracemalloc, levels 0-40), so the table holds 7 MB at most
+_TABLE_WEIGHT = 1 << 17
+_blocks, _blocks_weight, _blocks_lock = {}, 0, Lock()
+
+
+def _block(names, k):
+    """The power ``x^k`` over the jet names ``a_0 .. a_level``, per budget.
+
+    By the multinomial theorem the power sums, over the partitions of
+    each ``s <= level`` into ``p <= k`` parts, ``m_i`` of them equal to
+    ``i``, the rows ``(s, (k - p, m_1 .. m_level), comb(k, p) * p!/prod
+    m_i!, text)``.  Parts are added one per round, up to ``min(level,
+    k)``, in nondecreasing order: each partition comes once and a round
+    stays in descending order of m.  Sorted stably by s, the rows of one
+    s stay in descending order of their exponents, so a term of g fills
+    its slices in descending runs that one sort per slice merges, and
+    entry ``b``, the rows with ``s <= level - b``, is a prefix: tuples
+    that every caller shares.  A new block that fits the table is kept
+    and pushes out the oldest ones.
+    """
+    global _blocks_weight
+    kept = _blocks.get((names, k))
+    if kept:
+        return kept[0]
+    level = len(names) - 1
+    rows = last = [(0, (0,) * level, 0, 1, 1)]  # s, m, p, p!/prod m_i!, top
+    for _ in range(min(level, k)):
+        last = [(s + j, m[:j - 1] + (m[j - 1] + 1,) + m[j:], p + 1,
+                 r * (p + 1) // (m[j - 1] + 1), j)
+                for s, m, p, r, top in last for j in range(top, level + 1 - s)]
+        rows = rows + last
+    block = tuple(sorted([(s, mk := (k - p,) + m, comb(k, p) * r,
+                           _factors(names, mk)) for s, m, p, r, _ in rows],
+                         key=itemgetter(0)))
+    cut = tuple(block[:bisect_right(block, level - b, key=itemgetter(0))]
+                for b in range(level + 1))
+    weight = len(block) * (level + 9)
+    with _blocks_lock:  # another thread may have stored this key meanwhile
+        if weight <= _TABLE_WEIGHT and (names, k) not in _blocks:
+            _blocks[names, k] = cut, weight
+            _blocks_weight += weight
+            while _blocks_weight > _TABLE_WEIGHT:
+                _blocks_weight -= _blocks.pop(next(iter(_blocks)))[1]
+    return cut
 
 
 def satisfies_jet_equations(equations: PolySystem, jet_values) -> bool:

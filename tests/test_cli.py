@@ -488,6 +488,33 @@ def test_many_strata_sum_in_few_numerator_passes(run, monkeypatch):
     assert len(calls) < 400
 
 
+def test_repeated_jets_problem_reads_its_blocks_from_the_table(
+        run, monkeypatch):
+    # the second run of one problem in one process builds no block and no
+    # block text: every multinomial row comes from the process-wide table
+    import arcmeasure.series as series
+    doc = problem("jets", {"variables": ["x", "y", "z"],
+                           "generators": ["x^3*y - 2*y^2*z + z^4 - x*y*z",
+                                          "x^2 + y^2 + z^2 - 1"],
+                           "level": 8})
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return factors(*args)
+
+    factors = series._factors
+    monkeypatch.setattr(series, "_factors", counted)
+    monkeypatch.setattr(series, "_blocks", {})
+    monkeypatch.setattr(series, "_blocks_weight", 0)
+    first = run(doc)
+    assert first[0] == 0 and calls
+    kept = dict(series._blocks)
+    calls.clear()
+    assert run(doc) == first
+    assert series._blocks == kept and calls == []
+
+
 def test_measure_blowup_plane(run):
     code, out, _ = run(problem("measure", {"resolution": BLOWUP2_RES},
                                floor=-40))

@@ -126,6 +126,21 @@ def test_measure_side_runs_load_no_unused_module(capsys):
         "utf-8")
 
 
+def test_hx_run_loads_polynomials_but_not_series():
+    argv = [str(GOLDEN / "handle_singular_ideal.json")]
+    out = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from arcmeasure.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps([code, out.getvalue(), [m for m in "
+        "('arcmeasure.polynomials', 'arcmeasure.series') "
+        "if m in sys.modules]]))")
+    assert json.loads(out) == [
+        0, (GOLDEN / "handle_singular_ideal.out").read_text("utf-8"),
+        ["arcmeasure.polynomials"]]
+
+
 def _stratum():
     return SNCStratum("E", [0], MotiveSeries({1: 1, 0: 1}), 2)
 

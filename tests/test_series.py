@@ -1,9 +1,12 @@
 """Truncated series, arc jets, composition, orders along arcs."""
 
 import copy
+import os
 import pickle
 import random
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from operator import add
 
@@ -18,6 +21,8 @@ from arcmeasure import (ArcJet, ArityMismatch, IndeterminateAtCap,
                         min_series_order, ord_jac_along, parse_poly,
                         render_poly, render_trunc, satisfies_jet_equations,
                         series_order)
+from arcmeasure import series
+from arcmeasure.series import _block
 
 XY = ("x", "y")
 
@@ -359,10 +364,114 @@ def jet_systems(draw, max_level=10):
     return PolySystem(variables, generators), draw(st.integers(0, max_level))
 
 
-@given(jet_systems())
-@settings(max_examples=150, deadline=None)
+@st.composite
+def shared_exponent_systems(draw):
+    """2-3 variables, 1-2 generators whose terms raise each variable to 0
+    or one exponent ``k``, one of them all variables to ``k``, and a
+    level: each variable's block of ``x^k`` has the same level and
+    exponent, and only the jet names tell the blocks apart."""
+    n, k = draw(st.integers(2, 3)), draw(st.integers(1, 4))
+    variables = ("x", "y", "z")[:n]
+    exps = st.tuples(*[st.sampled_from([0, k])] * n)
+    generators = [MultiPoly(variables, {(k,) * n: draw(RATIONALS.filter(bool)),
+                                        **draw(st.dictionaries(exps, RATIONALS,
+                                                               max_size=3))})
+                  for _ in range(draw(st.integers(1, 2)))]
+    return PolySystem(variables, generators), draw(st.integers(0, 8))
+
+
+def assert_prints_its_terms(equations):
+    assert [render_poly(g) for g in equations] \
+        == [render_poly(MultiPoly(g.variables, g.terms)) for g in equations]
+
+
+def empty_block_table(monkeypatch, weight=series._TABLE_WEIGHT):
+    monkeypatch.setattr(series, "_blocks", {})
+    monkeypatch.setattr(series, "_blocks_weight", 0)
+    monkeypatch.setattr(series, "_TABLE_WEIGHT", weight)
+
+
+def assert_block_table_holds_its_weight():
+    assert all(weight == len(cut[0]) * (len(names) + 8)
+               for (names, _), (cut, weight) in series._blocks.items())
+    held = sum(weight for _, weight in series._blocks.values())
+    assert series._blocks_weight == held <= series._TABLE_WEIGHT
+
+
+@given(st.one_of(jet_systems(), shared_exponent_systems()))
+@settings(max_examples=200, deadline=None)
 def test_jet_equations_match_reference(case):
-    assert_matches_reference(*case)
+    # the first run fills the block table and the second reads from it
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        empty_block_table(monkeypatch)
+        for _ in range(2):
+            assert_prints_its_terms(assert_matches_reference(*case))
+        assert_block_table_holds_its_weight()
+
+
+def test_block_rows_are_shared_tuples_cut_per_budget():
+    # (a_0 + a_1 t)^2 below t^2: a_0^2 + 2*a_0*a_1*t
+    cut = _block(("a_0", "a_1"), 2)
+    assert cut == (((0, (2, 0), 1, "*a_0^2"), (1, (1, 1), 2, "*a_0*a_1")),
+                   ((0, (2, 0), 1, "*a_0^2"),))
+    assert type(cut) is tuple and all(type(rows) is tuple for rows in cut)
+    assert all(type(row) is tuple for rows in cut for row in rows)
+    assert _block(("a_0", "a_1"), 2) is cut
+
+
+def test_block_table_keeps_at_most_its_weight(monkeypatch):
+    # x^24 over a_0 .. a_24 has 7,338 rows, weight 242,154: too heavy for
+    # the table, it is built once for both terms of g and not kept
+    empty_block_table(monkeypatch)
+    names = []
+    monkeypatch.setattr(series, "_factors",
+                        lambda n, mk, f=series._factors: names.append(n)
+                        or f(n, mk))
+    system = PolySystem(("x",), [P("x^24 - 2*x^24 + x", ("x",))])
+    assert_prints_its_terms(jet_equations(system, 24))
+    x24 = jet_variable_names(1, 24)
+    assert names.count(x24) == 7338 + 25 and list(series._blocks) == [(x24, 1)]
+    assert_block_table_holds_its_weight()
+    # many small blocks: the oldest leave, the output stays the same; a
+    # weight of 100 keeps blocks of the last generator, x^39 - y^39, alone
+    empty_block_table(monkeypatch, 100)
+    system = PolySystem(XY, [P(f"x^{k} - y^{k}") for k in range(1, 40)])
+    first = [render_poly(g) for g in jet_equations(system, 2)]
+    assert series._blocks and {k for _, k in series._blocks} <= {0, 39}
+    assert_block_table_holds_its_weight()
+    assert [render_poly(g) for g in jet_equations(system, 2)] == first
+    assert_block_table_holds_its_weight()
+    assert_matches_reference(system, 2)
+
+
+def test_block_table_stays_right_under_threads(monkeypatch):
+    # more threads than cores, released together, and a short switch
+    # interval, so that the expansions fill and empty the table
+    # interleaved: each must still print its own system, and the weight
+    # the table counts must survive every interleaving
+    count = 2 * (os.cpu_count() or 1) + 4
+    cases = [(PolySystem(("x", "y", "z"), [
+        P(f"x^{i % 3 + 2}*y - 3/2*y^{i % 3 + 2} + z^{i % 2 + 1}",
+          ("x", "y", "z"))]), 3 + i % 3) for i in range(count)]
+    expected = [[render_poly(MultiPoly(g.variables, g.terms))
+                 for g in reference_jet_equations(*case)] for case in cases]
+    start = threading.Barrier(count)
+
+    def expand_together(case):
+        start.wait(timeout=60)
+        return [render_poly(g) for g in jet_equations(*case)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            empty_block_table(monkeypatch, 600)
+            with ThreadPoolExecutor(count) as pool:
+                texts = list(pool.map(expand_together, cases, timeout=60))
+            assert texts == expected
+            assert_block_table_holds_its_weight()
+    finally:
+        sys.setswitchinterval(old)
 
 
 @pytest.mark.parametrize("degree", [1, 3, 4, 7, 8, 255, 256])
