@@ -28,6 +28,7 @@ from operator import add
 
 NEG_INF = float("-inf")
 DEFAULT_FLOOR = -16  # where a computed measure's printed tail stops
+_U_DEPTH = 1 << 16  # how many u^-j texts render keeps, u^0 included
 _U_POWERS = [""]  # render's text of u^-j at index j, to the deepest floor
 
 
@@ -222,10 +223,6 @@ class MotiveSeries(_Frozen):
         terms = _as_terms(exponent_map or {})
         self._set(_terms=_above(terms, floor), floor=floor, closed_form=None)
 
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "MotiveSeries":
-        return cls({exponent: coefficient})
-
     # restates with_floor; kept while the benchmark's traced run
     # (bench/spans.py) patches it
     @classmethod
@@ -412,7 +409,7 @@ def _expand(n, ks, floor):
     return range(top, floor, -1), coeffs
 
 
-U = MotiveSeries.monomial(1)
+U = MotiveSeries({1: 1})
 ONE = MotiveSeries({0: 1})
 ZERO = MotiveSeries()
 
@@ -590,18 +587,21 @@ def render(a) -> str:
     prints from its dense expansion, any other value from ``terms``.
     A dense expansion, whose exponents are as short as its length,
     slices its ``u^-j`` texts from ``_U_POWERS``: a slice assignment
-    grows it to the deepest floor printed, putting ``u^-j`` at index
-    ``j`` whatever another thread added.  Other power texts are per call.
+    grows it to the deepest floor printed, up to ``_U_DEPTH`` entries,
+    putting ``u^-j`` at index ``j`` whatever another thread added.
+    Other power texts, deeper ones included, are per call.
     """
     if not isinstance(a, MotiveSeries):
         raise TypeError(f"cannot render {type(a)!r}")
     if a.closed_form:
         exps, coeffs = _expand(*a.closed_form, a.floor)
-        n = len(_U_POWERS)
-        if coeffs and n < -a.floor:
-            _U_POWERS[n:-a.floor] = _powers("u", range(-n, a.floor, -1))
+        low, high = max(-exps.start, 0), max(-a.floor, 0)
+        n, cut = len(_U_POWERS), min(high, _U_DEPTH)
+        if coeffs and n < cut:
+            _U_POWERS[n:cut] = _powers("u", range(-n, -cut, -1))
         monos = (_powers("u", range(exps.start, max(a.floor, 0), -1))
-                 + _U_POWERS[max(-exps.start, 0):max(-a.floor, 0)])
+                 + _U_POWERS[low:cut]
+                 + _powers("u", range(-max(low, cut), -high, -1)))
     else:
         exps = sorted(a.terms, reverse=True)
         coeffs = list(map(a.terms.get, exps))
@@ -630,13 +630,13 @@ class ParseError(ValueError):
 # the one term scanner of ring and polynomial text
 _MAX_DIGITS = 4300  # longest integer literal the scanner reads
 _SAFE_DIGITS = 640  # the lowest int digit limit the interpreter takes
-_POWER = r"\^(-?\d*)"  # a power's exponent text
+_POWER = r"\^(-?[0-9]*)"  # a power's exponent text
 _SIGN = re.compile(r"[ \t]*([+-]?)[ \t]*")
 _O_TERM = re.compile(r"O\(u" + _POWER)
 _NAME = re.compile(r"[^\W\d]\w*")  # a variable name, here and in cli
 # a factor with its power and the operator after it
-_FACTOR = re.compile(r"(?:(\d+)(?:/(\d+))?|(" + _NAME.pattern + r"))(?:"
-                     + _POWER + r")?[ \t]*([*+-]?)[ \t]*")
+_FACTOR = re.compile(r"(?:([0-9]+)(?:/([0-9]+))?|(" + _NAME.pattern
+                     + r"))(?:" + _POWER + r")?[ \t]*([*+-]?)[ \t]*")
 
 
 def _int(text, offset, what):
@@ -657,10 +657,10 @@ def _int(text, offset, what):
 
 
 def _unexpected(s, pos):
-    # the error for s[pos], where no factor or operator starts
+    # the error for s[pos], where the scan cannot go on
     if pos == len(s):
         return ParseError("unexpected end of input", pos)
-    if s[pos].isalnum() or s[pos] == "_":
+    if _FACTOR.match(s, pos):
         return ParseError("implicit multiplication is not allowed", pos)
     return ParseError(f"unexpected character {s[pos]!r}", pos)
 

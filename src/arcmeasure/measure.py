@@ -317,62 +317,45 @@ def motivic_integral(data: ResolutionData, alpha_mults, floor: int
 
 
 def motivic_integral_by_enumeration(data: ResolutionData, alpha_mults,
-                                    floor: int, max_total_contact=None
-                                    ) -> MotiveSeries:
+                                    floor: int) -> MotiveSeries:
     """Same integral, summed contact tuple by contact tuple.
 
-    The default cutoff is derived from the floor and provably discards
-    only contributions below it.  ``max_total_contact`` instead bounds
-    ``sum(e_i)`` directly, for cross-checks; when that cutoff drops
-    tuples whose contributions reach above ``floor``, the result's floor
-    is raised to the highest exponent a dropped tuple can reach, so
-    every returned coefficient is still exact.
+    The cutoff is derived from the floor and provably discards only
+    contributions below it, so every returned coefficient is exact.
     """
     total = ZERO
-    result_floor = floor
     for stratum, mults, alpha in zip(data.strata, data.jac_mults,
                                      _alpha_rows(data, alpha_mults)):
         ks = _contact_exponents(stratum, mults, alpha)
         weights = tuple(k - 1 for k in ks)  # a_i + alpha_i
         r = len(ks)
         if r == 0:
-            total = total + stratum.stratum_class * MotiveSeries.monomial(
-                -stratum.ambient_dim)
+            total = total + stratum.stratum_class * MotiveSeries(
+                {-stratum.ambient_dim: 1})
             continue
         # a tuple contributes in degrees <= top - sum(k_i e_i), so those
         # with sum(k_i e_i) >= budget sit at or below floor
         top = virtual_dim(stratum.stratum_class) + r - stratum.ambient_dim
         budget = top - floor
-        if max_total_contact is not None:
-            # the highest dropped tuple puts every contact beyond the
-            # cutoff on the component with the smallest k_i
-            extra = max(max_total_contact + 1 - r, 0)
-            result_floor = max(result_floor,
-                               top - sum(ks) - extra * min(ks))
 
         def tuples(prefix):
             i = len(prefix)
             if i == r:
                 yield prefix
                 return
+            # sum(k_j e_j) over the prefix, plus its least value over
+            # the components after i, whose e_j are at least 1
+            rest = sum(k * x for k, x in zip(ks, prefix)) + sum(ks[i + 1:])
             e = 1
-            while True:
-                if max_total_contact is not None:
-                    if sum(prefix) + e + (r - 1 - i) > max_total_contact:
-                        break
-                else:
-                    spent = sum(k * x for k, x in zip(ks, prefix))
-                    tail_min = sum(ks[i + 1:])
-                    if spent + ks[i] * e + tail_min > budget:
-                        break
+            while rest + ks[i] * e <= budget:
                 yield from tuples(prefix + (e,))
                 e += 1
 
         for contacts in tuples(()):
             twist = -ord_jac_on_stratum(weights, contacts)
             total = total + contact_stratum_measure(
-                stratum, contacts) * MotiveSeries.monomial(twist)
-    return total.with_floor(result_floor)
+                stratum, contacts) * MotiveSeries({twist: 1})
+    return total.with_floor(floor)
 
 
 def germ_measure(data: ResolutionData, floor: int) -> MotiveSeries:

@@ -72,10 +72,6 @@ class MultiPoly(_Frozen):
             num, den = {e: c // g for e, c in num.items()}, den // g
         return cls._new(variables, num, den, None)
 
-    @classmethod
-    def zero(cls, variables) -> "MultiPoly":
-        return cls(variables, {})
-
     @property
     def terms(self):
         """Exponent vector to ``Fraction`` coefficient, built on each read."""
@@ -281,7 +277,7 @@ def poly_det(matrix) -> MultiPoly:
     variables = matrix[0][0].variables
     if size == 1:
         return matrix[0][0]
-    total = MultiPoly.zero(variables)
+    total = MultiPoly(variables)
     for j in range(size):
         entry = matrix[0][j]
         if not entry:

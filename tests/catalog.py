@@ -64,7 +64,7 @@ def double_blowup_data() -> ResolutionData:
     the two divisors.
     """
     d = 2
-    u = MotiveSeries.monomial(1)
+    u = MotiveSeries({1: 1})
     strata = (
         SNCStratum("E1_open", (0,), u, d),
         SNCStratum("E2_open", (1,), u, d),

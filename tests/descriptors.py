@@ -45,7 +45,7 @@ class StableSetDescriptor(_Frozen):
 def measure_stable(a: StableSetDescriptor) -> MotiveSeries:
     """Class at level n rescaled by the fiber count, ``u^-(n+1)d``."""
     shift = -(a.level + 1) * a.ambient_dim
-    return a.class_at_level * MotiveSeries.monomial(shift)
+    return a.class_at_level * MotiveSeries({shift: 1})
 
 
 def re_level(a: StableSetDescriptor, new_level: int) -> StableSetDescriptor:
@@ -56,7 +56,7 @@ def re_level(a: StableSetDescriptor, new_level: int) -> StableSetDescriptor:
     """
     if new_level < a.level:
         raise ValueError("cannot lower the level of a stable set")
-    factor = MotiveSeries.monomial(a.ambient_dim * (new_level - a.level))
+    factor = MotiveSeries({a.ambient_dim * (new_level - a.level): 1})
     return StableSetDescriptor(level=new_level,
                                class_at_level=a.class_at_level * factor,
                                ambient_dim=a.ambient_dim)

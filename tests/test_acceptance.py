@@ -83,7 +83,7 @@ def test_criterion_01_ring_suite(capsys):
 def test_criterion_02_completion_identity(capsys):
     bad = []
     for p in range(1, 9):
-        product = (ONE - LaurentPoly.monomial(-p)) * geometric_sum(p, -40)
+        product = (ONE - LaurentPoly({-p: 1})) * geometric_sum(p, -40)
         stated = MotiveSeries({0: 1}, -40 + p)
         if product.terms != {0: 1} or product.floor > -40 + p \
                 or product.with_floor(-40 + p) != stated:
@@ -183,17 +183,15 @@ def test_criterion_05_change_of_variables_oracle(capsys):
     cases = 0
     for data in catalog_data:
         closed = motivic_integral(data, None, floor)
-        brute = motivic_integral_by_enumeration(data, None, floor,
-                                                max_total_contact=60)
-        assert closed.with_floor(floor) == brute.with_floor(floor), data
+        brute = motivic_integral_by_enumeration(data, None, floor)
+        assert closed.with_floor(floor) == brute, data
         cases += 1
     rng = random.Random(5005)
     while cases < 9 + 100:
         data, alpha = _random_resolution(rng)
         closed = motivic_integral(data, alpha, floor)
-        brute = motivic_integral_by_enumeration(data, alpha, floor,
-                                                max_total_contact=60)
-        assert closed.with_floor(floor) == brute.with_floor(floor), data
+        brute = motivic_integral_by_enumeration(data, alpha, floor)
+        assert closed.with_floor(floor) == brute, data
         cases += 1
     elapsed = time.perf_counter() - started
     report(capsys, 5, elapsed < 30.0,

@@ -63,6 +63,18 @@ def problem(kind, payload, **options):
     return doc
 
 
+def test_readme_command_line_example(run):
+    # the problem and the output printed under README "Command line"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    shell = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    command, printed = shell.split("\n", 1)
+    assert command == "$ arcmeasure problem.json"
+    assert run(doc) == (0, printed, "")
+
+
 # ---------------------------------------------------------------------------
 # jets
 
@@ -1042,6 +1054,18 @@ MALFORMED = [
      "payload.variables[0]: expected a name"),
     (_jets(variables=["x y"]), "payload.variables[0]: expected a name"),
     (_jets(variables=["x*y"]), "payload.variables[0]: expected a name"),
+    # digits are ASCII 0-9 in every grammar; Arabic-Indic ones are rejected
+    (_jets(generators=["\u0663*x"]),
+     "payload.generators[0]: unexpected character '\u0663' at offset 0"),
+    (problem("hx", {"variables": ["x"], "f": "x^\u0662"}),
+     "payload.f: expected integer exponent at offset 2"),
+    (_resolution(strata=[_stratum(**{"class": "\u0663*u"})]),
+     "payload.resolution.strata[0].class: unexpected character '\u0663' "
+     "at offset 0"),
+    (problem("compare", {"left": "u^-1 + O(u^-\u0665)", "right": "u^-1"}),
+     "payload.left: expected floor exponent at offset 11"),
+    (_compose([[0, "\u0663"]], cap=1),
+     "payload.arc[0][1]: bad rational literal '\u0663'"),
 ]
 
 

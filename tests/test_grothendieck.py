@@ -18,8 +18,8 @@ from arcmeasure import (NEG_INF, ONE, U, ZERO, ArcJet, ArityMismatch,
                         TruncSeries, geometric_sum, jet_equations, leq_order,
                         limit_of_sequence, parse_motive, parse_poly, render,
                         render_poly, render_trunc, virtual_dim)
-from arcmeasure.grothendieck import (_U_POWERS, _all_digits, _expand_rational,
-                                     _signed_sum)
+from arcmeasure.grothendieck import (_U_DEPTH, _U_POWERS, _all_digits,
+                                     _expand_rational, _signed_sum)
 
 from descriptors import (InsufficientApproximants, MeasurableDescriptor,
                          measure_measurable)
@@ -588,6 +588,17 @@ def test_power_table_holds_the_deepest_floor_alone():
         assert render(shallow) == naive_render(shallow)
         assert render(deep) == naive_render(deep)
     assert len(_U_POWERS) == 3200
+
+
+@pytest.mark.parametrize("top", [3, 0, 1 - _U_DEPTH, -_U_DEPTH, -1 - _U_DEPTH])
+def test_power_table_stops_at_its_depth(top):
+    # floors past the table's depth: the powers beyond it are built per
+    # call, whether the top sits above, at or below the depth
+    del _U_POWERS[1:]
+    floor = -_U_DEPTH - 5
+    value = _expand_rational([({top: 1, top - 1: -3}, (2,))], floor)
+    assert render(value) == render(MotiveSeries(value.terms, floor))
+    assert _U_POWERS == [""] + [f"u^-{j}" for j in range(1, _U_DEPTH)]
 
 
 def test_power_table_stays_right_under_threads():

@@ -357,32 +357,6 @@ def test_enumeration_matches_closed_form_on_catalog():
         assert closed == brute
 
 
-def test_enumeration_with_explicit_cutoff():
-    floor = -18
-    closed = germ_measure(catalog.cusp_data(), floor)
-    brute = motivic_integral_by_enumeration(
-        catalog.cusp_data(), None, floor, max_total_contact=40)
-    assert closed == brute
-
-
-def test_enumeration_cutoff_raises_floor():
-    # e = 3 is the first dropped contact; it reaches u^-6
-    floor = -16
-    brute = motivic_integral_by_enumeration(
-        catalog.cusp_data(), None, floor, max_total_contact=2)
-    assert render(brute) == "u^-2 - u^-3 + u^-4 - u^-5 + O(u^-6)"
-    assert brute == germ_measure(catalog.cusp_data(), floor).with_floor(-6)
-
-
-def test_enumeration_cutoff_below_index_set_size():
-    # no tuple fits: the floor sits at the top of the smallest tuple
-    data = catalog.double_blowup_data()
-    brute = motivic_integral_by_enumeration(data, None, -30,
-                                            max_total_contact=0)
-    closed = germ_measure(data, -30)
-    assert brute == closed.with_floor(brute.floor)
-
-
 def test_enumeration_matches_closed_form_randomized():
     rng = random.Random(7341)
     floor = -20
@@ -606,17 +580,6 @@ def test_closed_form_matches_product_and_enumeration(res, floor):
     assert closed == product_closed_form(data, alpha, floor)
     brute = motivic_integral_by_enumeration(data, alpha, floor)
     assert closed.with_floor(floor) == brute
-
-
-@settings(max_examples=60, deadline=None)
-@given(resolutions(), st.integers(-60, -1), st.integers(0, 6))
-def test_enumeration_cutoff_keeps_printed_terms(res, floor, e_max):
-    data, alpha = res
-    brute = motivic_integral_by_enumeration(data, alpha, floor,
-                                            max_total_contact=e_max)
-    assert brute.floor >= floor
-    assert motivic_integral(data, alpha, floor).with_floor(
-        brute.floor) == brute
 
 
 def test_closed_form_prefactor_at_or_below_floor():

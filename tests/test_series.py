@@ -308,7 +308,7 @@ def reference_jet_equations(system, level):
     repeated truncated products of lists of jet polynomials."""
     jet_vars = jet_variable_names(len(system.variables), level)
     n = level + 1
-    zero = MultiPoly.zero(jet_vars)
+    zero = MultiPoly(jet_vars)
     units = [tuple(int(i == k) for i in range(len(jet_vars)))
              for k in range(len(jet_vars))]
     comps = [[MultiPoly(jet_vars, {units[j * n + i]: 1}) for i in range(n)]
