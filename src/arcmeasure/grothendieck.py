@@ -633,7 +633,7 @@ _SAFE_DIGITS = 640  # the lowest int digit limit the interpreter takes
 _POWER = r"\^(-?[0-9]*)"  # a power's exponent text
 _SIGN = re.compile(r"[ \t]*([+-]?)[ \t]*")
 _O_TERM = re.compile(r"O\(u" + _POWER)
-_NAME = re.compile(r"[^\W\d]\w*")  # a variable name, here and in cli
+_NAME = re.compile(r"[^\W\d]\w*")  # a name if _letter(its start); also cli
 # a factor with its power and the operator after it
 _FACTOR = re.compile(r"(?:([0-9]+)(?:/([0-9]+))?|(" + _NAME.pattern
                      + r"))(?:" + _POWER + r")?[ \t]*([*+-]?)[ \t]*")
@@ -656,11 +656,17 @@ def _int(text, offset, what):
     return _all_digits(int, text)
 
 
+def _letter(c):
+    # where a name starts: _NAME also takes a numeral such as "²" or "½"
+    return c.isalpha() or c == "_"
+
+
 def _unexpected(s, pos):
     # the error for s[pos], where the scan cannot go on
     if pos == len(s):
         return ParseError("unexpected end of input", pos)
-    if _FACTOR.match(s, pos):
+    m = _FACTOR.match(s, pos)
+    if m and (m[3] is None or _letter(s[pos])):
         return ParseError("implicit multiplication is not allowed", pos)
     return ParseError(f"unexpected character {s[pos]!r}", pos)
 
@@ -707,6 +713,8 @@ def _scan_terms(s, names):
                         raise ParseError("zero denominator", m.start(2))
                     den = (den or 1) * q ** k
                 coefficient *= value ** k
+            elif not _letter(name[0]):
+                raise _unexpected(s, pos)
             elif name in names:
                 exponents[names.index(name)] += k
             else:

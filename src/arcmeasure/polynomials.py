@@ -5,8 +5,11 @@ maps each exponent vector, aligned with an ordered tuple of variable
 names, to a nonzero int, and ``den`` is kept so that ``gcd(den,
 *coefficients) == 1`` (1 for zero).  ``terms`` is a ``Fraction`` view
 rebuilt on every read.  A jet equation also carries its canonical text
-in ``_text``, built with it from its multinomial blocks; every other
-polynomial stores ``None`` there and prints from its terms.
+in ``_text``, built with it from its multinomial blocks, and in
+``_parts`` its exponent vectors as those blocks' shared rows with its
+coefficients: its ``_num`` slot stays unset until first read, which
+joins the rows.  Printing reads only the text.  Every other polynomial
+stores ``None`` in both and prints from its terms.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def _over_lcm(values):
 class MultiPoly(_Frozen):
     """Polynomial in the given variables over the rationals."""
 
-    __slots__ = ("variables", "_num", "den", "_text")
+    __slots__ = ("variables", "_num", "den", "_text", "_parts")
 
     def __init__(self, variables, terms=None):
         variables = tuple(variables)
@@ -62,7 +65,7 @@ class MultiPoly(_Frozen):
                 clean[exps] = c
         nums, den = _over_lcm(list(clean.values()))
         self._set(variables=variables, _num=dict(zip(clean, nums)), den=den,
-                  _text=None)
+                  _text=None, _parts=None)
 
     @classmethod
     def _reduced(cls, variables, num, den) -> "MultiPoly":
@@ -70,7 +73,24 @@ class MultiPoly(_Frozen):
         g = 1 if den == 1 else gcd(den, *num.values())
         if g != 1:
             num, den = {e: c // g for e, c in num.items()}, den // g
-        return cls._new(variables, num, den, None)
+        return cls._new(variables, num, den, None, None)
+
+    @classmethod
+    def _jet(cls, variables, den, text, parts) -> "MultiPoly":
+        """A jet equation; ``_num`` is built from ``parts`` when read."""
+        self = object.__new__(cls)
+        self._set(variables=variables, den=den, _text=text, _parts=parts)
+        return self
+
+    def __getattr__(self, name):
+        # a jet equation's unset _num, joined from its parts on first
+        # read; two threads may both build it, harmlessly: equal maps
+        if name != "_num":
+            raise AttributeError(f"MultiPoly has no attribute {name!r}")
+        fronts, lasts, nums = self._parts
+        num = dict(zip([sum(f, ()) + e for f, e in zip(fronts, lasts)], nums))
+        object.__setattr__(self, "_num", num)
+        return num
 
     @property
     def terms(self):
@@ -90,7 +110,7 @@ class MultiPoly(_Frozen):
             other = self._coerce(other)
         if type(other) is not MultiPoly:
             return NotImplemented
-        return self._fields()[:3] == other._fields()[:3]  # not _text
+        return self._fields()[:3] == other._fields()[:3]  # not _text, _parts
 
     def __hash__(self):
         if self.is_constant():  # equal to its value
@@ -121,7 +141,7 @@ class MultiPoly(_Frozen):
     def __neg__(self):
         return MultiPoly._new(self.variables,
                               {e: -c for e, c in self._num.items()}, self.den,
-                              None)
+                              None, None)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -149,7 +169,7 @@ class MultiPoly(_Frozen):
         one = {(0,) * len(self.variables): 1}
         return MultiPoly._new(
             self.variables, _pow_terms(self._num, n, one, _add_exponents),
-            self.den ** n, None)
+            self.den ** n, None, None)
 
     def diff(self, index: int) -> "MultiPoly":
         """Partial derivative with respect to ``variables[index]``."""
@@ -223,7 +243,8 @@ def parse_poly(text: str, variables) -> MultiPoly:
         terms[exponents] = terms.get(exponents, 0) + c
     terms = {e: c for e, c in terms.items() if c}
     nums, den = _over_lcm(list(terms.values()))
-    return MultiPoly._new(variables, dict(zip(terms, nums)), den, None)
+    return MultiPoly._new(variables, dict(zip(terms, nums)), den, None,
+                          None)
 
 
 class PolySystem(_Frozen):

@@ -10,10 +10,9 @@ reported as a lower bound, never silently truncated.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from operator import add, itemgetter
+from operator import add
 from threading import Lock
 
 from .grothendieck import (_all_digits, _check_int, _evaluate, _Frozen,
@@ -268,9 +267,12 @@ def _jet_expansion(g: MultiPoly, level: int, jet_vars):
     own disjoint jet variables and the block of ``x_j`` has total degree
     ``e_j``, so every combination is a distinct monomial: nothing is
     summed or cancelled.  Each block and its text is built once per
-    process, in a bounded table, and looked up once per ``g``; a
-    monomial's text joins its blocks' texts, and each slice stores the
-    text that ``render_poly`` prints.
+    process, in a bounded table, and looked up once per ``g``.  A
+    monomial keeps its exponents as the shared rows they come from, the
+    front blocks' as a tuple and the last block's apart: all are
+    ``level + 1`` long, so they sort as their concatenation would.  Its
+    text joins its blocks' texts, and each slice stores the text that
+    ``render_poly`` prints and builds its term map on first read.
     """
     step = level + 1  # the jet names a_0 .. a_level of each variable
     blocks = {(j, k): _block(jet_vars[j * step:(j + 1) * step], k)
@@ -280,20 +282,20 @@ def _jet_expansion(g: MultiPoly, level: int, jet_vars):
         partial = [(0, (), c, "")]
         *front, cut = map(blocks.__getitem__, enumerate(e))
         for block in front:
-            partial = [(s + r, m + mk, a * b, x + y)
+            partial = [(s + r, m + (mk,), a * b, x + y)
                        for s, m, a, x in partial for r, mk, b, y in block[s]]
         d = sum(e)
         for s, m, a, x in partial:
             for r, mk, b, y in cut[s]:
-                by_t[s + r].append((d, m + mk, a * b, (x + y)[1:]))
+                by_t[s + r].append((d, m, mk, a * b, (x + y)[1:]))
     slices = []
     for terms in filter(None, by_t):
         terms.sort(reverse=True)  # graded lexicographic, as _poly_text
-        _, exps, nums, monos = zip(*terms)
+        _, fronts, lasts, nums, monos = zip(*terms)
         h = gcd(g.den, *nums)  # lowest terms; _signed_sum reduces its own
-        num = dict(zip(exps, nums if h == 1 else [c // h for c in nums]))
-        slices.append(MultiPoly._new(jet_vars, num, g.den // h,
-                                     _signed_sum(nums, monos, g.den)))
+        slices.append(MultiPoly._jet(
+            jet_vars, g.den // h, _signed_sum(nums, monos, g.den),
+            (fronts, lasts, nums if h == 1 else [c // h for c in nums])))
     return slices
 
 
@@ -312,12 +314,12 @@ def _block(names, k):
     ``i``, the rows ``(s, (k - p, m_1 .. m_level), comb(k, p) * p!/prod
     m_i!, text)``.  Parts are added one per round, up to ``min(level,
     k)``, in nondecreasing order: each partition comes once and a round
-    stays in descending order of m.  Sorted stably by s, the rows of one
-    s stay in descending order of their exponents, so a term of g fills
-    its slices in descending runs that one sort per slice merges, and
-    entry ``b``, the rows with ``s <= level - b``, is a prefix: tuples
-    that every caller shares.  A new block that fits the table is kept
-    and pushes out the oldest ones.
+    stays in descending order of m, so the rows run in descending order
+    of their exponents.  Entry ``b`` keeps, in that order, the rows with
+    ``s <= level - b``, filtered from entry ``b - 1``: tuples that every
+    caller shares.  A term of g then fills each slice in one descending
+    run, and one sort per slice merges the runs of g's terms.  A new
+    block that fits the table is kept and pushes out the oldest ones.
     """
     global _blocks_weight
     kept = _blocks.get((names, k))
@@ -330,12 +332,12 @@ def _block(names, k):
                  r * (p + 1) // (m[j - 1] + 1), j)
                 for s, m, p, r, top in last for j in range(top, level + 1 - s)]
         rows = rows + last
-    block = tuple(sorted([(s, mk := (k - p,) + m, comb(k, p) * r,
-                           _factors(names, mk)) for s, m, p, r, _ in rows],
-                         key=itemgetter(0)))
-    cut = tuple(block[:bisect_right(block, level - b, key=itemgetter(0))]
-                for b in range(level + 1))
-    weight = len(block) * (level + 9)
+    cut = [tuple([(s, mk := (k - p,) + m, comb(k, p) * r, _factors(names, mk))
+                  for s, m, p, r, _ in rows])]
+    for b in range(level):  # each budget filters the one above it
+        cut.append(tuple([row for row in cut[b] if row[0] < level - b]))
+    cut = tuple(cut)
+    weight = len(cut[0]) * (level + 9)
     with _blocks_lock:  # another thread may have stored this key meanwhile
         if weight <= _TABLE_WEIGHT and (names, k) not in _blocks:
             _blocks[names, k] = cut, weight

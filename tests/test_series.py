@@ -1,6 +1,7 @@
 """Truncated series, arc jets, composition, orders along arcs."""
 
 import copy
+import json
 import os
 import pickle
 import random
@@ -419,6 +420,22 @@ def test_block_rows_are_shared_tuples_cut_per_budget():
     assert _block(("a_0", "a_1"), 2) is cut
 
 
+def test_block_cuts_run_in_descending_exponent_order():
+    # (a_0 + a_1 t + a_2 t^2 + a_3 t^3)^2: by budget the rows run
+    # a_0^2, 2a_0a_1 | 2a_0a_2, a_1^2 | 2a_0a_3, 2a_1a_2; by exponent
+    # 2a_0a_3 comes before a_1^2
+    names = ("a_0", "a_1", "a_2", "a_3")
+    cut = _block(names, 2)
+    assert [row[1] for row in cut[0]] == [
+        (2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
+        (0, 2, 0, 0), (0, 1, 1, 0)]
+    for b, rows in enumerate(cut):
+        assert [row[1] for row in rows] == sorted(
+            [row[1] for row in rows], reverse=True)
+        assert rows == tuple(row for row in cut[0] if row[0] <= 3 - b)
+        assert all(any(row is kept for kept in cut[0]) for row in rows)
+
+
 def test_block_table_keeps_at_most_its_weight(monkeypatch):
     # x^24 over a_0 .. a_24 has 7,338 rows, weight 242,154: too heavy for
     # the table, it is built once for both terms of g and not kept
@@ -602,6 +619,65 @@ def test_stored_text_stays_out_of_value_semantics():
                                (g * 1, twin * 1), (g.diff(0), twin.diff(0))]:
             assert derived._text is None
             assert render_poly(derived) == render_poly(plain)
+
+
+def map_is_built(g):
+    try:
+        MultiPoly._num.__get__(g)  # the slot itself, not __getattr__
+    except AttributeError:
+        return False
+    return True
+
+
+def test_unread_jet_equations_keep_value_semantics():
+    # each check starts from equations whose term map was never read
+    system = PolySystem(("x", "y", "z"), [
+        P("1/2*y^2*z - x^3 + 3", ("x", "y", "z")),
+        P("-4/3*x*y + z^4", ("x", "y", "z"))])
+
+    def fresh():
+        equations = jet_equations(system, 3).generators
+        assert not any(map(map_is_built, equations))
+        return equations
+
+    twins = [parse_poly(render_poly(g), g.variables) for g in fresh()]
+    point = dict(zip(twins[0].variables, range(2, 100)))
+    assert list(fresh()) == twins and twins == list(fresh())
+    assert [hash(g) for g in fresh()] == list(map(hash, twins))
+    assert [g.terms for g in fresh()] == [t.terms for t in twins]
+    assert [g.evaluate(point) for g in fresh()] \
+        == [t.evaluate(point) for t in twins]
+    assert [g * g - g for g in fresh()] == [t * t - t for t in twins]
+    for how in (copy.copy, copy.deepcopy,
+                lambda v: pickle.loads(pickle.dumps(v))):
+        copies = [how(g) for g in fresh()]
+        assert copies == twins and list(map(hash, copies)) \
+            == list(map(hash, twins))
+        assert list(map(render_poly, copies)) == list(map(render_poly, twins))
+
+
+def test_printing_jet_equations_builds_no_term_map(monkeypatch, capsys,
+                                                   tmp_path):
+    from arcmeasure import cli
+    built = []
+
+    def kept(*args):
+        built.append(jet_equations(*args))
+        return built[-1]
+
+    monkeypatch.setattr(series, "jet_equations", kept)
+    path = tmp_path / "jets.json"
+    path.write_text(json.dumps({
+        "schema": 1, "kind": "jets", "payload": {
+            "variables": ["x", "y", "z"], "level": 4,
+            "generators": ["y^2 - x^3 + 2/3*z", "x*y*z - 1", "z^2"]}}))
+    for flags in ([], ["--format", "json"]):
+        assert cli.main([str(path), *flags]) == 0
+    printed = capsys.readouterr().out
+    assert [len(system) for system in built] == [15, 15]
+    for g in (g for system in built for g in system):
+        repr(g)
+        assert render_poly(g) in printed and not map_is_built(g)
 
 
 def test_jet_text_prints_every_digit_under_the_lowest_limit():
