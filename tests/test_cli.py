@@ -1054,15 +1054,6 @@ MALFORMED = [
      "payload.variables[0]: expected a name"),
     (_jets(variables=["x y"]), "payload.variables[0]: expected a name"),
     (_jets(variables=["x*y"]), "payload.variables[0]: expected a name"),
-    # a name starts with a letter or "_", not with a numeral that \w takes
-    (_jets(variables=["\u00b2"], generators=["\u00b2^2"]),
-     "payload.variables[0]: expected a name"),
-    (_jets(variables=["\u00bd"]), "payload.variables[0]: expected a name"),
-    (_jets(variables=["\u216b"]), "payload.variables[0]: expected a name"),
-    (_jets(generators=["\u00b2*x"]),
-     "payload.generators[0]: unexpected character '\u00b2' at offset 0"),
-    (problem("hx", {"variables": ["x"], "f": "2\u00b2*x"}),
-     "payload.f: unexpected character '\u00b2' at offset 1"),
     # digits are ASCII 0-9 in every grammar; Arabic-Indic ones are rejected
     (_jets(generators=["\u0663*x"]),
      "payload.generators[0]: unexpected character '\u0663' at offset 0"),
@@ -1075,6 +1066,15 @@ MALFORMED = [
      "payload.left: expected floor exponent at offset 11"),
     (_compose([[0, "\u0663"]], cap=1),
      "payload.arc[0][1]: bad rational literal '\u0663'"),
+    # a name starts with a letter or "_", not with a numeral that \w takes
+    (_jets(variables=["\u00b2"], generators=["\u00b2^2"]),
+     "payload.variables[0]: expected a name"),
+    (_jets(variables=["\u00bd"]), "payload.variables[0]: expected a name"),
+    (_jets(variables=["\u216b"]), "payload.variables[0]: expected a name"),
+    (_jets(generators=["\u00b2*x"]),
+     "payload.generators[0]: unexpected character '\u00b2' at offset 0"),
+    (problem("hx", {"variables": ["x"], "f": "2\u00b2*x"}),
+     "payload.f: unexpected character '\u00b2' at offset 1"),
 ]
 
 
