@@ -22,9 +22,9 @@ from math import lcm
 
 from .analysis import (Conclusion, inverse_mapping_report,
                        measure_comparison_report)
-from .grothendieck import (_MAX_DIGITS, _NAME, _SAFE_DIGITS, DEFAULT_FLOOR,
+from .grothendieck import (_MAX_DIGITS, _SAFE_DIGITS, DEFAULT_FLOOR,
                            NEG_INF, MotiveSeries, ParseError,
-                           PrecisionExhausted, _all_digits, _int, _letter,
+                           PrecisionExhausted, _all_digits, _int, _is_name,
                            parse_motive, render, virtual_dim)
 from .measure import (DivergentExponent, ResolutionData, ResolutionDiagram,
                       SchemaError, _get, _int_list, _parsed,
@@ -83,7 +83,7 @@ def _rationals(row, path):
 def _variables(payload, key, *_):
     names = _get(payload, "payload", key, list, "a list of names", "nonempty")
     for i, v in enumerate(names):
-        if not (isinstance(v, str) and _NAME.fullmatch(v) and _letter(v[0])):
+        if not (isinstance(v, str) and _is_name(v)):
             raise SchemaError(f"payload.{key}[{i}]", "expected a name")
     if len(set(names)) != len(names):
         raise SchemaError(f"payload.{key}", "names must be distinct")

@@ -633,7 +633,7 @@ _SAFE_DIGITS = 640  # the lowest int digit limit the interpreter takes
 _POWER = r"\^(-?[0-9]*)"  # a power's exponent text
 _SIGN = re.compile(r"[ \t]*([+-]?)[ \t]*")
 _O_TERM = re.compile(r"O\(u" + _POWER)
-_NAME = re.compile(r"[^\W\d]\w*")  # a name if _letter(its start); also cli
+_NAME = re.compile(r"[^\W\d]\w*")  # _is_name also checks its start
 # a factor with its power and the operator after it
 _FACTOR = re.compile(r"(?:([0-9]+)(?:/([0-9]+))?|(" + _NAME.pattern
                      + r"))(?:" + _POWER + r")?[ \t]*([*+-]?)[ \t]*")
@@ -656,9 +656,10 @@ def _int(text, offset, what):
     return _all_digits(int, text)
 
 
-def _letter(c):
-    # where a name starts: _NAME also takes a numeral such as "²" or "½"
-    return c.isalpha() or c == "_"
+def _is_name(text):
+    # a name, here and in cli: _NAME alone also takes "²" or "½" at start
+    start = text[:1]
+    return (start.isalpha() or start == "_") and bool(_NAME.fullmatch(text))
 
 
 def _unexpected(s, pos):
@@ -666,7 +667,7 @@ def _unexpected(s, pos):
     if pos == len(s):
         return ParseError("unexpected end of input", pos)
     m = _FACTOR.match(s, pos)
-    if m and (m[3] is None or _letter(s[pos])):
+    if m and (m[3] is None or _is_name(m[3])):
         return ParseError("implicit multiplication is not allowed", pos)
     return ParseError(f"unexpected character {s[pos]!r}", pos)
 
@@ -713,7 +714,7 @@ def _scan_terms(s, names):
                         raise ParseError("zero denominator", m.start(2))
                     den = (den or 1) * q ** k
                 coefficient *= value ** k
-            elif not _letter(name[0]):
+            elif not _is_name(name):
                 raise _unexpected(s, pos)
             elif name in names:
                 exponents[names.index(name)] += k

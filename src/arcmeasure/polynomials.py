@@ -86,7 +86,7 @@ class MultiPoly(_Frozen):
         # a jet equation's unset _num, joined from its parts on first
         # read; two threads may both build it, harmlessly: equal maps
         if name != "_num":
-            raise AttributeError(f"MultiPoly has no attribute {name!r}")
+            return object.__getattribute__(self, name)  # its usual error
         fronts, lasts, nums = self._parts
         num = dict(zip([sum(f, ()) + e for f, e in zip(fronts, lasts)], nums))
         object.__setattr__(self, "_num", num)
