@@ -666,8 +666,7 @@ def _unexpected(s, pos):
     # the error for s[pos], where the scan cannot go on
     if pos == len(s):
         return ParseError("unexpected end of input", pos)
-    m = _FACTOR.match(s, pos)
-    if m and (m[3] is None or _is_name(m[3])):
+    if (m := _FACTOR.match(s, pos)) and (m[3] is None or _is_name(m[3])):
         return ParseError("implicit multiplication is not allowed", pos)
     return ParseError(f"unexpected character {s[pos]!r}", pos)
 
@@ -714,12 +713,12 @@ def _scan_terms(s, names):
                         raise ParseError("zero denominator", m.start(2))
                     den = (den or 1) * q ** k
                 coefficient *= value ** k
-            elif not _is_name(name):
-                raise _unexpected(s, pos)
             elif name in names:
                 exponents[names.index(name)] += k
-            else:
+            elif _is_name(name):
                 raise ParseError(f"unknown variable {name!r}", pos)
+            else:
+                raise _unexpected(s, pos)
             pos = m.end()
             if op != "*":
                 break
